@@ -26,7 +26,6 @@ from .consensus import ConsensusDesign
 from .errors import ConfigError, UnstableAugmentedError
 from .kalman import KalmanDesign
 from .plant import SensorGraph, SplitModel, SystemModel
-from .simulator import SimulationTrace
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,6 +36,7 @@ class AugmentedSystem:
     out_map: np.ndarray   # augmented state -> stacked deviations (m*n rows)
     variant: str
     block_dims: tuple     # (deviation block, tracking block, stable substate)
+    spectral_radius: float  # of Ar, from its diagonal blocks
 
     @property
     def dim(self) -> int:
@@ -126,14 +126,17 @@ def build_augmented(
     if d2:
         out_map[:, :d2] = out_gain @ np.kron(Phi2, np.eye(blk))
 
-    rho = numerics.spectral_radius(Ar) if dim else 0.0
+    # Ar is block upper-triangular, so its spectrum is the union of the
+    # deviation modes S - mu_j 1 Gamma' (j >= 2), Lambda and As
+    modes = [S - mu_j * np.outer(ones, consensus.Gamma) for mu_j in mus]
+    rho = max(numerics.spectral_radius(X) for X in [*modes, Lam, split.As])
     if rho >= 1.0 - numerics.UNIT_CIRCLE_TOL:
         raise UnstableAugmentedError(
             f"augmented deviation system has spectral radius {rho:.6f}"
         )
     return AugmentedSystem(
         Ar=Ar, Bw=Bw, Bv=Bv, out_map=out_map, variant=variant,
-        block_dims=(d2, m * n, ns),
+        block_dims=(d2, m * n, ns), spectral_radius=rho,
     )
 
 
@@ -214,15 +217,6 @@ def empirical_covariance(traces, steps):
     bm = np.array([per_trial[b].mean(axis=0) for b in batches])
     stderr = bm.std(axis=0, ddof=1) / np.sqrt(n_batches)
     return cov, stderr
-
-
-def empirical_node_mse(traces: "list[SimulationTrace]", steps) -> np.ndarray:
-    """Per-node, per-state mean squared error over trials and steps."""
-    acc = None
-    for tr in traces:
-        e2 = (tr.errors[steps] ** 2).mean(axis=0)
-        acc = e2 if acc is None else acc + e2
-    return acc / len(traces)
 
 
 def report_to_dict(report: CovarianceReport) -> dict:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,22 +40,16 @@ def _load(args) -> Scenario:
     elif getattr(args, "config", None):
         sc = load_scenario(args.config)
         if args.trials is not None:
-            sc = _replace(sc, trials=args.trials)
+            sc = replace(sc, trials=args.trials)
         if args.seed is not None:
-            sc = _replace(sc, seed=args.seed)
+            sc = replace(sc, seed=args.seed)
     else:
         raise ConfigError("provide --config PATH or --example NAME")
     if args.rounds is not None:
-        sc = _replace(sc, rounds_per_sample=args.rounds)
+        sc = replace(sc, rounds_per_sample=args.rounds)
     if args.drop is not None:
-        sc = _replace(sc, drop_prob=args.drop)
+        sc = replace(sc, drop_prob=args.drop)
     return sc
-
-
-def _replace(sc: Scenario, **kw) -> Scenario:
-    from dataclasses import replace
-
-    return replace(sc, **kw)
 
 
 def _strategy(sc: Scenario):
@@ -172,7 +167,7 @@ def cmd_simulate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     result = run_monte_carlo(sc.model, designs, config, sc.trials)
-    first = run_trial(sc.model, designs, _replace_seed(config, (sc.seed, 0)))
+    first = run_trial(sc.model, designs, replace(config, seed=(sc.seed, 0)))
     simulator.write_trace_csv(first, outdir / "trace.csv")
     simulator.write_mse_csv(result, outdir / "mse.csv")
 
@@ -199,18 +194,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _replace_seed(config: TrialConfig, seed) -> TrialConfig:
-    from dataclasses import replace
-
-    return replace(config, seed=seed)
-
-
 def cmd_reproduce(args) -> int:
     sc = builtin_scenario(args.example, trials=args.trials, seed=args.seed)
     if args.rounds is not None:
-        sc = _replace(sc, rounds_per_sample=args.rounds)
+        sc = replace(sc, rounds_per_sample=args.rounds)
     if args.drop is not None:
-        sc = _replace(sc, drop_prob=args.drop)
+        sc = replace(sc, drop_prob=args.drop)
     outdir = Path(args.out) if args.out else None
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)

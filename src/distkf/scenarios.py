@@ -58,6 +58,13 @@ class Scenario:
     steady_window: tuple = (50, 100)  # step range used for steady-state averages
     extras: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # runs on every construction, dataclasses.replace included
+        if not 0.0 <= self.drop_prob < 1.0:
+            raise ConfigError(f"drop_prob must lie in [0, 1), got {self.drop_prob}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+
 
 def _matrix(obj, name):
     try:
@@ -99,27 +106,30 @@ def parse_scenario(cfg: dict, name: str = "custom") -> Scenario:
         graph = _graph_from_config(cfg["graph"])
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from exc
-    design = cfg.get("design", {})
-    sim = cfg.get("sim", {})
-    x0cov = sim.get("initial_state_cov")
-    horizon = int(sim.get("horizon", 100))
-    lo = min(horizon, max(1, horizon // 2))
-    return Scenario(
-        name=name,
-        model=model,
-        graph=graph,
-        zeta=design.get("zeta"),
-        stable_poles=design.get("stable_poles"),
-        variant=str(design.get("variant", "auto")),
-        replace_own=bool(design.get("replace_own", False)),
-        horizon=horizon,
-        trials=int(sim.get("trials", 100)),
-        seed=int(sim.get("seed", 0)),
-        rounds_per_sample=int(sim.get("rounds_per_sample", 1)),
-        drop_prob=float(sim.get("drop_prob", 0.0)),
-        initial_state_cov=None if x0cov is None else _matrix(x0cov, "sim.initial_state_cov"),
-        steady_window=(lo, horizon + 1),
-    )
+    try:
+        design = cfg.get("design", {})
+        sim = cfg.get("sim", {})
+        x0cov = sim.get("initial_state_cov")
+        horizon = int(sim.get("horizon", 100))
+        lo = min(horizon, max(1, horizon // 2))
+        return Scenario(
+            name=name,
+            model=model,
+            graph=graph,
+            zeta=design.get("zeta"),
+            stable_poles=design.get("stable_poles"),
+            variant=str(design.get("variant", "auto")),
+            replace_own=bool(design.get("replace_own", False)),
+            horizon=horizon,
+            trials=int(sim.get("trials", 100)),
+            seed=int(sim.get("seed", 0)),
+            rounds_per_sample=int(sim.get("rounds_per_sample", 1)),
+            drop_prob=float(sim.get("drop_prob", 0.0)),
+            initial_state_cov=None if x0cov is None else _matrix(x0cov, "sim.initial_state_cov"),
+            steady_window=(lo, horizon + 1),
+        )
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad design or sim value: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:

@@ -3,9 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import distkf
-from distkf.errors import UnstableAugmentedError
+from distkf import numerics
+from distkf.errors import InfeasibleDesignError, UnstableAugmentedError
 
-from conftest import trial_config
+from conftest import random_connected_graph, random_observable_model, trial_config
 
 
 def build_report(sc, designs, variant):
@@ -34,9 +35,32 @@ class TestBuildAugmented:
         sc, designs = example1
         for variant in ("alg1", "alg2"):
             aug, _ = build_report(sc, designs, variant)
-            from distkf import numerics
-
             assert numerics.spectral_radius(aug.Ar) < 1.0
+
+    def test_blockwise_radius_matches_dense(self, example1):
+        sc, designs = example1
+        for variant in ("alg1", "alg2"):
+            aug, _ = build_report(sc, designs, variant)
+            assert abs(aug.spectral_radius - numerics.spectral_radius(aug.Ar)) <= 1e-10
+
+    def test_blockwise_radius_random_plants(self):
+        rng = np.random.default_rng(31)
+        done = 0
+        while done < 30:
+            model = random_observable_model(rng)
+            graph = random_connected_graph(rng, model.m)
+            try:
+                designs = distkf.design_pipeline(model, graph, variant="alg2")
+            except InfeasibleDesignError:
+                continue
+            for variant in ("alg1", "alg2"):
+                aug = distkf.build_augmented(
+                    model, designs.split, designs.kalman, designs.bundle,
+                    designs.consensus, designs.graph, variant=variant,
+                    reduced=designs.reduced,
+                )
+                assert abs(aug.spectral_radius - numerics.spectral_radius(aug.Ar)) <= 1e-10
+            done += 1
 
     def test_broken_design_detected(self, example1):
         sc, designs = example1

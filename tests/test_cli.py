@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import distkf
 from distkf import cli
 
 
@@ -131,6 +137,43 @@ class TestSimulateCommand:
         assert cov["analytic"] is None
         assert "exceeds cap" in cov["analytic_skipped_reason"]
         assert len(cov["empirical_node_mse"]) == 15
+
+
+class TestBadSimOptions:
+    """Link-drop probability outside [0, 1), negative seeds and non-numeric
+    sim values end with exit 2 and an error line, never a traceback, from
+    flags and from scenario JSON."""
+
+    @staticmethod
+    def _run(args):
+        env = dict(os.environ, PYTHONPATH=str(Path(distkf.__file__).parent.parent))
+        return subprocess.run(
+            [sys.executable, "-m", "distkf.cli", *args],
+            capture_output=True, text=True, env=env,
+        )
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--example", "example1", "--drop", "1.0"],
+        ["simulate", "--example", "example1", "--drop", "-0.1"],
+        ["simulate", "--example", "example1", "--seed", "-1"],
+        ["reproduce", "example1", "--drop", "1.0"],
+        ["reproduce", "example1", "--seed", "-1"],
+    ])
+    def test_flags(self, tmp_path, args):
+        if args[0] == "simulate":
+            args = [*args, "--out", str(tmp_path / "o")]
+        proc = self._run(args)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
+
+    @pytest.mark.parametrize("sim", [{"drop_prob": 1.0}, {"seed": -3}, {"seed": "abc"}])
+    def test_scenario_json(self, tmp_path, sim):
+        cfg = write_config(tmp_path / "c.json", sim={"horizon": 10, "trials": 1, **sim})
+        proc = self._run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
 
 
 class TestFlagForwarding:

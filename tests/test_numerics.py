@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import linalg
 
 from distkf import numerics
 from distkf.errors import NotControllableError, NotDetectableError, UnstableMatrixError
@@ -86,6 +87,60 @@ class TestSolveDlyap:
                 acc += Fk @ V @ Fk.T
                 Fk = F @ Fk
             assert_allclose(W, acc, atol=1e-6 * (1 + np.linalg.norm(W)))
+
+
+class TestBlockedDlyap:
+    """The recursive solver against scipy's dense solver (kept here only as
+    the reference) at sizes above the 64-row leaf."""
+
+    RTOL = 1e-10
+
+    @staticmethod
+    def _check(F, V):
+        W = numerics.solve_dlyap(F, V)
+        ref = linalg.solve_discrete_lyapunov(F, V)
+        assert np.linalg.norm(W - ref) <= TestBlockedDlyap.RTOL * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n, seed", [(65, 1), (129, 2), (250, 3)])
+    def test_matches_scipy(self, n, seed):
+        rng = np.random.default_rng(seed)
+        F = matrix_with_spectrum(rng, random_spectrum(rng, n, allow_unstable=False))
+        T, _ = linalg.schur(F, output="real")
+        assert np.count_nonzero(np.diag(T, -1)) >= 10  # complex pairs present
+        B = rng.standard_normal((n, n))
+        self._check(F, B @ B.T)
+
+    def test_midpoint_on_complex_pair(self):
+        # F is already in real Schur form, with a 2x2 block on rows 63-64,
+        # so halving 129 rows at 64 would cut it
+        rng = np.random.default_rng(4)
+        sizes = [2] * 31 + [1, 2] + [2] * 32
+        F = np.triu(0.3 * rng.standard_normal((129, 129)), 1)
+        k = 0
+        for size in sizes:
+            if size == 1:
+                F[k, k] = rng.uniform(-0.9, 0.9)
+            else:
+                r, th = rng.uniform(0.2, 0.9), rng.uniform(0.2, np.pi - 0.2)
+                b = rng.uniform(0.5, 2.0)
+                F[k : k + 2, k : k + 2] = [[r * np.cos(th), r * np.sin(th) * b],
+                                           [-r * np.sin(th) / b, r * np.cos(th)]]
+            k += size
+        T, _ = linalg.schur(F, output="real")
+        assert T[64, 63] != 0.0
+        B = rng.standard_normal((129, 129))
+        self._check(F, B @ B.T)
+
+    def test_unit_modulus_pair_rejected_above_leaf(self):
+        rng = np.random.default_rng(5)
+        eigs = np.concatenate([random_spectrum(rng, 78, allow_unstable=False),
+                               np.exp([0.7j, -0.7j])])
+        F = matrix_with_spectrum(rng, eigs)
+        T, _ = linalg.schur(F, output="real")
+        # every diagonal entry is inside the disc: only the 2x2 block is not
+        assert np.abs(np.diag(T)).max() < 0.95
+        with pytest.raises(UnstableMatrixError):
+            numerics.solve_dlyap(F, np.eye(80))
 
 
 class TestSpectralSplit:
