@@ -7,7 +7,6 @@ the network average of the node estimates equals the optimal estimate at
 every step, with an exactly computable asymptotic error covariance.
 """
 
-from ._kernels import BACKEND
 from .analysis import (
     AugmentedSystem,
     CovarianceReport,
@@ -39,7 +38,6 @@ from .decomposition import (
     build_lambda,
     design_S_beta,
     reduce_model,
-    step_local_filter,
     verify_lossless,
 )
 from .errors import (

@@ -1,261 +1,72 @@
-"""Per-trial simulation kernels.
+"""Per-trial simulation kernel shared by both algorithm variants.
 
-The inner loops dominate Monte-Carlo runtime, so they come in two
-flavours selected at import time by the ``DISTKF_BACKEND`` environment
-variable:
+Both variants run one recursion on a consensus state of shape (m, r, n):
+node i holds r copies of the order-n local filter, r = m for variant 1
+(one copy per sensor, messages of size m) and r = n for variant 2
+(messages of size n).  Per step k, with residual z_i = y_i(k+1) - beta' xi_i
+and consensus Laplacian L(k, rho) built from the sampled link weights:
 
-* ``numba`` (default): explicit loops compiled with ``@njit``;
-* ``numpy``: vectorized array code, used when numba is unavailable or
-  explicitly requested (``DISTKF_BACKEND=numpy``).
+    xi_i   <- S xi_i + 1 z_i
+    state  <- state S' + inject z - (L(k, 0) (state Gamma)) 1'
+    state  <- state - (L(k, rho) (state Gamma)) 1'      rho = 1 .. rounds-1
+    xbreve <- m * state.reshape(m, r n) @ readout
 
-Both backends implement identical recursions; results agree to floating
-point roundoff (summation order differs), and each backend is bitwise
-deterministic for a fixed seed.  All randomness is sampled outside the
-kernels, so the backend choice never consumes RNG draws differently.
+``inject`` is (m, r, n): ``e_i 1'`` for variant 1, ``T_i`` for variant 2.
+``readout`` is (r n, n): the stacked ``F_j'`` for variant 1 and
+``e_j beta'`` for variant 2.  Variant 1 with ``replace_own`` reads the own
+block as xi_i / m instead of state[i, i]; the state itself is unchanged.
+The plant and the centralized filter are co-simulated on the same noise.
+All randomness (w, v, x0, link weights) is sampled outside the kernel.
 
-Kernel contract (shared by both variants):
-
-    inputs  A (n,n), C (m,n), Acl (n,n), K (n,m)   -- plant + central filter
-            S (n,n), beta (n,)                     -- local filter
-            blocks (m,n,n)                         -- F_i (variant 1) or T_i rows (variant 2)
-            Gamma (n,)                             -- coupling row gain
-            gains (T,rounds,m,m)                   -- per-step/round effective link weights
-            w (T,n), v (T,m), x0 (n,)              -- presampled noise
-            replace_own, rounds
-    returns x (T+1,n), y (T+1,m), xhat (T+1,n), xbreve (T+1,m,n),
-            xi (m,n) final local states, cons final consensus blocks
+Returns x (T+1,n), y (T+1,m), xhat (T+1,n), xbreve (T+1,m,n), the final
+local states xi (m,n) and the final consensus state (m,r,n).
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-_requested = os.environ.get("DISTKF_BACKEND", "numba").strip().lower()
-if _requested not in ("numba", "numpy"):
-    warnings.warn(
-        f"DISTKF_BACKEND={_requested!r} not recognized; falling back to 'numba'",
-        stacklevel=1,
-    )
-    _requested = "numba"
 
-USING_NUMBA = False
-if _requested == "numba":
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        warnings.warn("numba unavailable; using the numpy backend", stacklevel=1)
-
-BACKEND = "numba" if USING_NUMBA else "numpy"
-
-
-def _sim_alg1_loops(A, C, Acl, K, S, beta, F, Gamma, gains, w, v0, v, x0, replace_own, rounds):
-    T = w.shape[0]
-    n = A.shape[0]
+def _simulate(A, C, Acl, K, S, beta, inject, readout, own, Gamma, gains, w, v0, v, x0):
+    T, n = w.shape
     m = C.shape[0]
     x = np.zeros((T + 1, n))
     y = np.zeros((T + 1, m))
     xhat = np.zeros((T + 1, n))
     xbreve = np.zeros((T + 1, m, n))
     xi = np.zeros((m, n))
-    eta = np.zeros((m, m, n))
-    ones = np.ones(n)
-    x[0] = x0
-    y[0] = C @ x0 + v0
-    for k in range(T):
-        xk = A @ x[k] + w[k]
-        yk = C @ xk + v[k]
-        z = np.empty(m)
-        for i in range(m):
-            z[i] = yk[i] - beta @ xi[i]
-        xin = np.empty((m, n))
-        for i in range(m):
-            xin[i] = S @ xi[i] + ones * z[i]
-        delta = np.empty((m, m))
-        for i in range(m):
-            for j in range(m):
-                delta[i, j] = Gamma @ eta[i, j]
-        etan = np.empty((m, m, n))
-        for i in range(m):
-            for j in range(m):
-                u = 0.0
-                for l in range(m):
-                    g = gains[k, 0, i, l]
-                    if g != 0.0:
-                        u += g * (delta[l, j] - delta[i, j])
-                etan[i, j] = S @ eta[i, j] + ones * u
-            etan[i, i] = etan[i, i] + ones * z[i]
-        for r in range(1, rounds):
-            for i in range(m):
-                for j in range(m):
-                    delta[i, j] = Gamma @ etan[i, j]
-            upd = np.zeros((m, m))
-            for i in range(m):
-                for l in range(m):
-                    g = gains[k, r, i, l]
-                    if g != 0.0:
-                        for j in range(m):
-                            upd[i, j] += g * (delta[l, j] - delta[i, j])
-            for i in range(m):
-                for j in range(m):
-                    etan[i, j] = etan[i, j] + ones * upd[i, j]
-        eta = etan
-        xi = xin
-        for i in range(m):
-            acc = np.zeros(n)
-            for j in range(m):
-                if replace_own and j == i:
-                    acc += F[j] @ (xi[i] / m)
-                else:
-                    acc += F[j] @ eta[i, j]
-            xbreve[k + 1, i] = m * acc
-        xhat[k + 1] = Acl @ xhat[k] + K @ yk
-        x[k + 1] = xk
-        y[k + 1] = yk
-    return x, y, xhat, xbreve, xi, eta
-
-
-def _sim_alg2_loops(A, C, Acl, K, S, beta, Tb, Gamma, gains, w, v0, v, x0, replace_own, rounds):
-    T = w.shape[0]
-    n = A.shape[0]
-    m = C.shape[0]
-    x = np.zeros((T + 1, n))
-    y = np.zeros((T + 1, m))
-    xhat = np.zeros((T + 1, n))
-    xbreve = np.zeros((T + 1, m, n))
-    xi = np.zeros((m, n))
-    theta = np.zeros((m, n, n))
-    ones = np.ones(n)
-    x[0] = x0
-    y[0] = C @ x0 + v0
-    for k in range(T):
-        xk = A @ x[k] + w[k]
-        yk = C @ xk + v[k]
-        z = np.empty(m)
-        for i in range(m):
-            z[i] = yk[i] - beta @ xi[i]
-        xin = np.empty((m, n))
-        for i in range(m):
-            xin[i] = S @ xi[i] + ones * z[i]
-        delta = np.empty((m, n))
-        for i in range(m):
-            for j in range(n):
-                delta[i, j] = Gamma @ theta[i, j]
-        thetan = np.empty((m, n, n))
-        for i in range(m):
-            for j in range(n):
-                u = 0.0
-                for l in range(m):
-                    g = gains[k, 0, i, l]
-                    if g != 0.0:
-                        u += g * (delta[l, j] - delta[i, j])
-                thetan[i, j] = S @ theta[i, j] + Tb[i, j] * z[i] + ones * u
-        for r in range(1, rounds):
-            for i in range(m):
-                for j in range(n):
-                    delta[i, j] = Gamma @ thetan[i, j]
-            upd = np.zeros((m, n))
-            for i in range(m):
-                for l in range(m):
-                    g = gains[k, r, i, l]
-                    if g != 0.0:
-                        for j in range(n):
-                            upd[i, j] += g * (delta[l, j] - delta[i, j])
-            for i in range(m):
-                for j in range(n):
-                    thetan[i, j] = thetan[i, j] + ones * upd[i, j]
-        theta = thetan
-        xi = xin
-        for i in range(m):
-            for j in range(n):
-                xbreve[k + 1, i, j] = m * (beta @ theta[i, j])
-        xhat[k + 1] = Acl @ xhat[k] + K @ yk
-        x[k + 1] = xk
-        y[k + 1] = yk
-    return x, y, xhat, xbreve, xi, theta
-
-
-def _sim_alg1_numpy(A, C, Acl, K, S, beta, F, Gamma, gains, w, v0, v, x0, replace_own, rounds):
-    T = w.shape[0]
-    n = A.shape[0]
-    m = C.shape[0]
-    x = np.zeros((T + 1, n))
-    y = np.zeros((T + 1, m))
-    xhat = np.zeros((T + 1, n))
-    xbreve = np.zeros((T + 1, m, n))
-    xi = np.zeros((m, n))
-    eta = np.zeros((m, m, n))
-    ones = np.ones(n)
+    state = np.zeros(inject.shape)
+    lap = gains.sum(axis=-1)[..., None] * np.eye(m) - gains
+    readout = m * readout
     idx = np.arange(m)
     x[0] = x0
     y[0] = C @ x0 + v0
     for k in range(T):
-        xk = A @ x[k] + w[k]
-        yk = C @ xk + v[k]
-        z = yk - xi @ beta
-        xi = xi @ S.T + np.outer(z, ones)
-        delta = eta @ Gamma  # (m, m)
-        Wk = gains[k, 0]
-        coup = Wk @ delta - Wk.sum(axis=1)[:, None] * delta
-        eta = eta @ S.T + coup[:, :, None] * ones
-        eta[idx, idx] += np.outer(z, ones)
-        for r in range(1, rounds):
-            delta = eta @ Gamma
-            Wk = gains[k, r]
-            coup = Wk @ delta - Wk.sum(axis=1)[:, None] * delta
-            eta = eta + coup[:, :, None] * ones
-        fused = np.einsum("jab,ijb->ia", F, eta)
-        if replace_own:
-            own_blocks = eta[idx, idx]
-            fused += np.einsum("iab,ib->ia", F, xi / m - own_blocks)
-        xbreve[k + 1] = m * fused
-        xhat[k + 1] = Acl @ xhat[k] + K @ yk
-        x[k + 1] = xk
-        y[k + 1] = yk
-    return x, y, xhat, xbreve, xi, eta
+        x[k + 1] = A @ x[k] + w[k]
+        y[k + 1] = C @ x[k + 1] + v[k]
+        z = y[k + 1] - xi @ beta
+        xi = xi @ S.T + z[:, None]
+        state = state @ S.T + inject * z[:, None, None] - (lap[k, 0] @ (state @ Gamma))[:, :, None]
+        for L in lap[k, 1:]:
+            state = state - (L @ (state @ Gamma))[:, :, None]
+        xbreve[k + 1] = state.reshape(m, -1) @ readout
+        if own is not None:
+            xbreve[k + 1] += np.einsum("iab,ib->ia", own, xi - m * state[idx, idx])
+        xhat[k + 1] = Acl @ xhat[k] + K @ y[k + 1]
+    return x, y, xhat, xbreve, xi, state
 
 
-def _sim_alg2_numpy(A, C, Acl, K, S, beta, Tb, Gamma, gains, w, v0, v, x0, replace_own, rounds):
-    T = w.shape[0]
-    n = A.shape[0]
-    m = C.shape[0]
-    x = np.zeros((T + 1, n))
-    y = np.zeros((T + 1, m))
-    xhat = np.zeros((T + 1, n))
-    xbreve = np.zeros((T + 1, m, n))
-    xi = np.zeros((m, n))
-    theta = np.zeros((m, n, n))
-    ones = np.ones(n)
-    x[0] = x0
-    y[0] = C @ x0 + v0
-    for k in range(T):
-        xk = A @ x[k] + w[k]
-        yk = C @ xk + v[k]
-        z = yk - xi @ beta
-        xi = xi @ S.T + np.outer(z, ones)
-        delta = theta @ Gamma  # (m, n)
-        Wk = gains[k, 0]
-        coup = Wk @ delta - Wk.sum(axis=1)[:, None] * delta
-        theta = theta @ S.T + Tb * z[:, None, None] + coup[:, :, None] * ones
-        for r in range(1, rounds):
-            delta = theta @ Gamma
-            Wk = gains[k, r]
-            coup = Wk @ delta - Wk.sum(axis=1)[:, None] * delta
-            theta = theta + coup[:, :, None] * ones
-        xbreve[k + 1] = m * (theta @ beta)
-        xhat[k + 1] = Acl @ xhat[k] + K @ yk
-        x[k + 1] = xk
-        y[k + 1] = yk
-    return x, y, xhat, xbreve, xi, theta
+def sim_alg1(A, C, Acl, K, S, beta, F, Gamma, gains, w, v0, v, x0, replace_own):
+    """Variant 1: F (m,n,n) are the fusion weights F_j."""
+    m, n = F.shape[:2]
+    inject = np.repeat(np.eye(m)[:, :, None], n, axis=2)
+    readout = F.transpose(0, 2, 1).reshape(m * n, n)
+    own = F if replace_own else None
+    return _simulate(A, C, Acl, K, S, beta, inject, readout, own, Gamma, gains, w, v0, v, x0)
 
 
-if USING_NUMBA:
-    sim_alg1 = njit(cache=True)(_sim_alg1_loops)
-    sim_alg2 = njit(cache=True)(_sim_alg2_loops)
-else:
-    sim_alg1 = _sim_alg1_numpy
-    sim_alg2 = _sim_alg2_numpy
+def sim_alg2(A, C, Acl, K, S, beta, Tb, Gamma, gains, w, v0, v, x0):
+    """Variant 2: Tb (m,n,n) stacks the reduced-order blocks T_i."""
+    n = Tb.shape[1]
+    readout = np.kron(np.eye(n), beta[:, None])
+    return _simulate(A, C, Acl, K, S, beta, Tb, readout, None, Gamma, gains, w, v0, v, x0)

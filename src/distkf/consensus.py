@@ -209,29 +209,14 @@ def design_consensus(S: np.ndarray, graph: SensorGraph, zeta: float | None = Non
 
 
 class SyncStrategy(abc.ABC):
-    """Synchronization strategy template.
-
-    A strategy owns the per-link coefficients gamma_ij(k) applied to the
-    consensus coupling, and in the general template also a hidden state
-    with update maps (A_hidden, B_hidden) producing the broadcast message.
-    Both built-in strategies are memoryless (A_hidden = 0, B_hidden = I):
-    the message is formed directly from the current consensus state.
-    """
-
-    memoryless: bool = True
-
-    @property
-    def A_hidden(self) -> float:
-        return 0.0
-
-    @property
-    def B_hidden(self) -> float:
-        return 1.0
+    """Synchronization strategy: owns the per-link coefficients
+    gamma_ij(k) applied to the consensus coupling."""
 
     @abc.abstractmethod
     def sample_gains(self, adjacency: np.ndarray, horizon: int, rounds: int, rng=None) -> np.ndarray:
         """Effective link weights a_ij * gamma_ij for every step and
-        consensus round, shape (horizon, rounds, m, m), symmetric."""
+        consensus round, shape (horizon, rounds, m, m), symmetric.
+        The result may be a read-only view."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,9 +226,7 @@ class StaticStrategy(SyncStrategy):
     def sample_gains(self, adjacency, horizon, rounds, rng=None):
         adjacency = np.asarray(adjacency, dtype=float)
         m = adjacency.shape[0]
-        out = np.empty((horizon, rounds, m, m))
-        out[...] = adjacency
-        return out
+        return np.broadcast_to(adjacency, (horizon, rounds, m, m))
 
 
 @dataclass(frozen=True, eq=False)

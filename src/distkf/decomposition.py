@@ -23,7 +23,6 @@ plus a linear read-out:
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -358,14 +357,6 @@ def build_bundle(
     )
 
 
-def step_local_filter(bundle: DecompositionBundle, xi: np.ndarray, y_next: float):
-    """One local-filter step: returns (xi_next, z) with
-    z = y(k+1) - beta' xi and xi_next = S xi + 1 z."""
-    z = float(y_next) - float(bundle.beta @ xi)
-    xi_next = bundle.S @ xi + z  # + 1_n * z
-    return xi_next, z
-
-
 @dataclass(frozen=True)
 class LosslessReport:
     max_relative_residual: float
@@ -452,9 +443,8 @@ def reduce_model(bundle: DecompositionBundle) -> ReducedBundle:
     return ReducedBundle(H=H, T=T, alpha=alpha)
 
 
-# --- JSON serialization for caching designs between CLI invocations ---
-
 def bundle_to_dict(bundle: DecompositionBundle) -> dict:
+    """The bundle as plain lists, for ``design.json``."""
     return {
         "Lambda": bundle.Lambda.tolist(),
         "beta": bundle.beta.tolist(),
@@ -463,22 +453,3 @@ def bundle_to_dict(bundle: DecompositionBundle) -> dict:
         "G": bundle.G.tolist(),
         "phiS": bundle.phiS.tolist(),
     }
-
-
-def bundle_from_dict(d: dict) -> DecompositionBundle:
-    return DecompositionBundle(
-        Lambda=np.asarray(d["Lambda"], dtype=float),
-        beta=np.asarray(d["beta"], dtype=float),
-        S=np.asarray(d["S"], dtype=float),
-        F=np.asarray(d["F"], dtype=float),
-        G=np.asarray(d["G"], dtype=float),
-        phiS=np.asarray(d["phiS"], dtype=float),
-    )
-
-
-def bundle_to_json(bundle: DecompositionBundle) -> str:
-    return json.dumps(bundle_to_dict(bundle))
-
-
-def bundle_from_json(text: str) -> DecompositionBundle:
-    return bundle_from_dict(json.loads(text))

@@ -23,7 +23,7 @@ rounds_per_sample 1, drop_prob 0, zero initial state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class Scenario:
     drop_prob: float = 0.0
     initial_state_cov: np.ndarray | None = None
     steady_window: tuple = (50, 100)  # step range used for steady-state averages
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # runs on every construction, dataclasses.replace included
@@ -238,7 +237,6 @@ def example2_scenario(trials: int = 2000, seed: int = 777) -> Scenario:
         trials=trials,
         seed=seed,
         steady_window=(120, 201),
-        extras={"grid": N, "placement_seed": 42, "radius": 2.4},
     )
 
 

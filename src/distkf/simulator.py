@@ -237,15 +237,13 @@ def run_trial(model: SystemModel, designs: DesignSet, config: TrialConfig) -> Si
     if variant == "alg1":
         out = _kernels.sim_alg1(
             model.A, model.C, kd.Acl, kd.K, bundle.S, bundle.beta, bundle.F,
-            designs.consensus.Gamma, gains, w, v[0], v[1:], x0,
-            config.replace_own, config.rounds_per_sample,
+            designs.consensus.Gamma, gains, w, v[0], v[1:], x0, config.replace_own,
         )
     else:
         Tb = np.stack([designs.reduced.T_blocks(i) for i in range(m)])
         out = _kernels.sim_alg2(
             model.A, model.C, kd.Acl, kd.K, bundle.S, bundle.beta, Tb,
             designs.consensus.Gamma, gains, w, v[0], v[1:], x0,
-            config.replace_own, config.rounds_per_sample,
         )
     x, y, xhat, xbreve, _, _ = out
     return SimulationTrace(

@@ -180,8 +180,3 @@ class TestStrategies:
         a = s.sample_gains(g.adjacency, 10, 1)
         b = s.sample_gains(g.adjacency, 10, 1)
         assert np.array_equal(a, b)
-
-    def test_memoryless_template(self):
-        s = distkf.static_strategy()
-        assert s.memoryless
-        assert s.A_hidden == 0.0 and s.B_hidden == 1.0

@@ -3,10 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 import distkf
-from distkf import _kernels, simulator
+from distkf import _kernels
+from distkf.decomposition import psd_factor
 from distkf.errors import ConfigError
 
 from conftest import trial_config
+from loop_kernels import sim_alg1_loops, sim_alg2_loops
 
 
 class TestVariantSelection:
@@ -110,47 +112,132 @@ class TestRunTrial:
             )
 
 
+def _trial_inputs(model, designs, cfg):
+    """Replay the noise and link weights run_trial draws for ``cfg``."""
+    noise_ss, link_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    rng = np.random.Generator(np.random.Philox(noise_ss))
+    Lq, Lr = psd_factor(model.Q), psd_factor(model.R)
+    x0 = psd_factor(cfg.initial_state_cov) @ rng.standard_normal(model.n)
+    w = rng.standard_normal((cfg.horizon, model.n)) @ Lq.T
+    v = rng.standard_normal((cfg.horizon + 1, model.m)) @ Lr.T
+    gains = cfg.strategy.sample_gains(designs.graph.adjacency, cfg.horizon, cfg.rounds_per_sample,
+                                      np.random.Generator(np.random.Philox(link_ss)))
+    return x0, w, v, gains
+
+
+def _kernel_args(model, designs, cfg):
+    """Positional arguments of the variant's kernel for ``cfg``, without
+    the trailing replace_own."""
+    x0, w, v, gains = _trial_inputs(model, designs, cfg)
+    if cfg.variant == "alg1":
+        blocks = designs.bundle.F
+    else:
+        blocks = np.stack([designs.reduced.T_blocks(i) for i in range(model.m)])
+    kd = designs.kalman
+    return (model.A, model.C, kd.Acl, kd.K, designs.bundle.S, designs.bundle.beta, blocks,
+            designs.consensus.Gamma, gains, w, v[0], v[1:], x0)
+
+
+# alg1 over static links without replace_own is
+# test_stepwise_identities_and_kernel_match
+_STEP_CASES = {
+    "alg1-drop": dict(variant="alg1", strategy=distkf.bernoulli_drop_strategy(0.3)),
+    "alg1-static-replace_own": dict(variant="alg1", replace_own=True),
+    "alg1-drop-replace_own": dict(
+        variant="alg1", strategy=distkf.bernoulli_drop_strategy(0.3), replace_own=True
+    ),
+    "alg2-static": dict(variant="alg2"),
+    "alg2-drop": dict(variant="alg2", strategy=distkf.bernoulli_drop_strategy(0.3)),
+}
+
+_LOOP_CASES = {
+    "alg1-static-1": dict(variant="alg1"),
+    "alg1-drop-3": dict(variant="alg1", strategy=distkf.bernoulli_drop_strategy(0.2),
+                        rounds_per_sample=3),
+    "alg1-static-2-replace_own": dict(variant="alg1", rounds_per_sample=2, replace_own=True),
+    "alg1-drop-3-replace_own": dict(variant="alg1", strategy=distkf.bernoulli_drop_strategy(0.2),
+                                    rounds_per_sample=3, replace_own=True),
+    "alg2-static-1": dict(variant="alg2"),
+    "alg2-static-2": dict(variant="alg2", rounds_per_sample=2),
+    "alg2-drop-3": dict(variant="alg2", strategy=distkf.bernoulli_drop_strategy(0.2),
+                        rounds_per_sample=3),
+}
+
+
 class TestKernelAgainstStepFunctions:
-    def _reference_alg1(self, sc, designs, horizon, seed, replace_own=False):
-        """Network simulation through the public single-node step API."""
+    def _step_network(self, sc, designs, cfg):
+        """Network simulation through the public single-node step API, on
+        the noise and link weights of the kernel run; checks the
+        consensus identities along the way."""
         model = sc.model
         n, m = model.n, model.m
-        cfg = trial_config(sc, horizon=horizon, seed=seed, variant="alg1",
-                           replace_own=replace_own)
         tr = distkf.run_trial(model, designs, cfg)  # kernel result + same noise
-        nodes = [distkf.init_node("alg1", n, m, i) for i in range(m)]
-        adj = designs.graph.adjacency
+        gains = _trial_inputs(model, designs, cfg)[3]
+        nodes = [distkf.init_node(cfg.variant, n, m, i) for i in range(m)]
         xhat = np.zeros(n)
-        for k in range(horizon):
+        xbreve = np.zeros_like(tr.xbreve)
+        for k in range(cfg.horizon):
             y = tr.y[k + 1]
             msgs = [distkf.simulator.node_message(nd, designs.consensus.Gamma) for nd in nodes]
+            weights = gains[k, 0]
             new = []
             for i in range(m):
-                neigh = [(adj[i, l], msgs[l]) for l in range(m) if adj[i, l] > 0]
-                new.append(
-                    distkf.step_node_alg1(
+                neigh = [(weights[i, l], msgs[l]) for l in range(m) if weights[i, l] > 0]
+                if cfg.variant == "alg1":
+                    new.append(distkf.step_node_alg1(
                         nodes[i], designs.bundle, designs.consensus, neigh, y[i],
-                        replace_own=replace_own,
-                    )
-                )
+                        replace_own=cfg.replace_own,
+                    ))
+                else:
+                    new.append(distkf.step_node_alg2(
+                        nodes[i], designs.reduced, designs.bundle, designs.consensus, neigh, y[i]
+                    ))
             nodes = new
             xhat = distkf.step_centralized(designs.kalman, xhat, y)
-            # identities: sum_i eta_{i,j} = xi_j and average = central
-            eta_sum = sum(nd.blocks for nd in nodes)
-            for j in range(m):
-                assert np.linalg.norm(eta_sum[j] - nodes[j].xi) <= 1e-8 * (
-                    1 + np.linalg.norm(nodes[j].xi)
-                )
-            avg = sum(nd.xbreve for nd in nodes) / m
-            if not replace_own:
+            if cfg.variant == "alg1":
+                # sum_i eta_{i,j} = xi_j
+                eta_sum = sum(nd.blocks for nd in nodes)
+                for j in range(m):
+                    assert np.linalg.norm(eta_sum[j] - nodes[j].xi) <= 1e-8 * (
+                        1 + np.linalg.norm(nodes[j].xi)
+                    )
+            if not cfg.replace_own:
+                # the node average is the centralized estimate
+                avg = sum(nd.xbreve for nd in nodes) / m
                 assert np.linalg.norm(avg - xhat) <= 1e-8 * (1 + np.linalg.norm(xhat))
-            for i in range(m):
-                assert_allclose(nodes[i].xbreve, tr.xbreve[k + 1, i], atol=1e-9)
-        return tr, nodes
+            xbreve[k + 1] = [nd.xbreve for nd in nodes]
+        return tr, xbreve
 
     def test_stepwise_identities_and_kernel_match(self, example1):
         sc, designs = example1
-        self._reference_alg1(sc, designs, horizon=30, seed=21)
+        cfg = trial_config(sc, horizon=30, seed=21, variant="alg1")
+        tr, xbreve = self._step_network(sc, designs, cfg)
+        assert_allclose(tr.xbreve, xbreve, rtol=1e-10)
+
+    @pytest.mark.parametrize("case", list(_STEP_CASES), ids=list(_STEP_CASES))
+    def test_kernel_matches_step_network(self, example1, case):
+        sc, designs = example1
+        cfg = trial_config(sc, horizon=30, seed=31, **_STEP_CASES[case])
+        tr, xbreve = self._step_network(sc, designs, cfg)
+        assert_allclose(tr.xbreve, xbreve, rtol=1e-10)
+
+    @pytest.mark.parametrize("case", list(_LOOP_CASES), ids=list(_LOOP_CASES))
+    def test_kernel_matches_loop_reference(self, example1, case):
+        # the step functions run one consensus round per sample; the loop
+        # kernels cover every round count
+        sc, designs = example1
+        cfg = trial_config(sc, horizon=25, seed=8, **_LOOP_CASES[case])
+        args = _kernel_args(sc.model, designs, cfg)
+        if cfg.variant == "alg1":
+            got = _kernels.sim_alg1(*args, cfg.replace_own)
+            want = sim_alg1_loops(*args, cfg.replace_own, cfg.rounds_per_sample)
+        else:
+            got = _kernels.sim_alg2(*args)
+            want = sim_alg2_loops(*args, False, cfg.rounds_per_sample)
+        for a, b in zip(got, want):
+            assert_allclose(a, b, rtol=1e-10)
+        tr = distkf.run_trial(sc.model, designs, cfg)
+        assert np.array_equal(tr.xbreve, got[3])
 
     def test_alg2_single_node_matches_alg1_fusion(self, example1):
         # with one node and no neighbors both variants reproduce the same
@@ -201,24 +288,8 @@ class TestReplaceOwn:
 
 
 def _run_kernel(sc, designs, replace_own):
-    model = sc.model
     cfg = trial_config(sc, horizon=25, seed=5, variant="alg1", replace_own=replace_own)
-    ss = np.random.SeedSequence(cfg.seed)
-    noise_ss, link_ss = ss.spawn(2)
-    rng = np.random.Generator(np.random.Philox(noise_ss))
-    from distkf.decomposition import psd_factor
-
-    Lq, Lr = psd_factor(model.Q), psd_factor(model.R)
-    x0 = psd_factor(cfg.initial_state_cov) @ rng.standard_normal(2)
-    w = rng.standard_normal((25, 2)) @ Lq.T
-    v = rng.standard_normal((26, 4)) @ Lr.T
-    gains = cfg.strategy.sample_gains(designs.graph.adjacency, 25, 1,
-                                      np.random.Generator(np.random.Philox(link_ss)))
-    return _kernels.sim_alg1(
-        model.A, model.C, designs.kalman.Acl, designs.kalman.K,
-        designs.bundle.S, designs.bundle.beta, designs.bundle.F,
-        designs.consensus.Gamma, gains, w, v[0], v[1:], x0, replace_own, 1
-    )
+    return _kernels.sim_alg1(*_kernel_args(sc.model, designs, cfg), replace_own)
 
 
 class TestConsensusDecay:
