@@ -120,7 +120,8 @@ def _design_dict(sc: Scenario, designs, variant):
         out["reduced"] = {
             "H": designs.reduced.H.tolist(),
             "T": designs.reduced.T.tolist(),
-            "alpha": designs.reduced.alpha.tolist(),
+            "alpha": None if designs.reduced.alpha is None else designs.reduced.alpha.tolist(),
+            "alpha_skipped_reason": designs.reduced.alpha_skipped_reason,
         }
     return out
 

@@ -2,9 +2,15 @@
 
 Feasibility hinges on the Mahler measure of the local-filter matrix S
 (the product of its unstable eigenvalue moduli) against the graph bound
-``(1 + mu_2/mu_m) / (1 - mu_2/mu_m)``.  A feasible pair admits a rank-one
-coupling gain built from a modified algebraic Riccati solution that makes
-every deviation mode ``S - mu_j 1 Gamma`` strictly stable.
+``(1 + mu_2/mu_m) / (1 - mu_2/mu_m)``.  S comes from the modal
+decomposition: block diagonal with its unstable block ``S_u`` (nu x nu)
+leading.  The coupling gain acts on that block only, ``Gamma = [Gamma_u, 0]``,
+so every deviation mode ``S - mu_j 1 Gamma`` is block triangular with
+spectrum ``eig(S_u - mu_j 1 Gamma_u)`` plus the stable picks.  ``Gamma_u``
+comes from the rank-one modified algebraic Riccati equation on ``S_u``
+(for nu = 1 it is ``2 s_u / (mu_2 + mu_m)``, You & Xie, IEEE TAC 2011);
+``Pmare`` is zero outside the unstable block.  A stable S (nu = 0) gets
+``Gamma = 0``.
 """
 
 from __future__ import annotations
@@ -62,13 +68,14 @@ def choose_zeta(mahler: float, bound: float) -> float:
     return 1.0 / inv
 
 
-def solve_mare(S: np.ndarray, zeta: float, keep_history: bool = False):
+def solve_mare(S: np.ndarray, zeta: float, return_iterations: bool = False):
     """Positive-definite solution of the rank-one modified Riccati relation
 
         P = S'PS - (1 - zeta^2) S'P 1 1'P S / (1'P1) + I
 
     by fixed-point iteration from P = I.  The +I forcing makes the strict
-    inequality version hold with unit margin.
+    inequality version hold with unit margin.  With ``return_iterations``
+    the result is (P, number of iterations).
 
     Raises:
         InfeasibleZetaError: zeta * mahler(S) >= 1 (no solution exists).
@@ -84,21 +91,18 @@ def solve_mare(S: np.ndarray, zeta: float, keep_history: bool = False):
         )
     ones = np.ones(n)
     P = np.eye(n)
-    history = [P]
     shrink = 1.0 - zeta**2
-    for _ in range(_MARE_MAX_ITER):
+    for k in range(1, _MARE_MAX_ITER + 1):
         SP = S.T @ P
         g = SP @ ones
         Pn = SP @ S - shrink * np.outer(g, g) / (ones @ P @ ones) + np.eye(n)
         Pn = 0.5 * (Pn + Pn.T)
         done = np.linalg.norm(Pn - P) <= _MARE_RTOL * np.linalg.norm(Pn)
         P = Pn
-        if keep_history:
-            history.append(P)
         if done:
             if mare_margin(S, P, zeta) <= 1e-10 * np.linalg.norm(P):
                 raise NoConvergenceError("MARE fixed point lost strict positivity")
-            return (P, history) if keep_history else P
+            return (P, k) if return_iterations else P
     raise NoConvergenceError("MARE fixed point did not converge")
 
 
@@ -152,7 +156,12 @@ class ConsensusDesign:
 
 
 def design_consensus(S: np.ndarray, graph: SensorGraph, zeta: float | None = None) -> ConsensusDesign:
-    """Feasibility check, zeta selection, MARE solve, gain, verification.
+    """Feasibility check, zeta selection, MARE on the unstable block, gain,
+    verification.
+
+    S must have its unstable eigenvalues in a leading decoupled block, as
+    ``build_bundle`` produces it; the gain is ``[Gamma_u, 0]`` with
+    Gamma_u from the MARE solution on that block.
 
     Raises:
         InfeasibleConditionError: mahler >= graph bound.
@@ -167,17 +176,11 @@ def design_consensus(S: np.ndarray, graph: SensorGraph, zeta: float | None = Non
             f"Mahler measure {report.mahler:.6f} >= graph bound {report.bound:.6f}"
         )
     S = np.atleast_2d(np.asarray(S, dtype=float))
-    if graph.m == 1:
-        # a single node never couples; the gain is irrelevant
-        zeta = choose_zeta(report.mahler, report.bound) if zeta is None else zeta
-        P = solve_mare(S, zeta)
-        return ConsensusDesign(
-            zeta=float(zeta), Pmare=P, Gamma=np.zeros(S.shape[0]),
-            mahler=report.mahler, bound=report.bound, spectral_radii=np.empty(0),
-        )
+    n = S.shape[0]
+    nu = numerics.unstable_eigvals(S).size
     if zeta is None:
         zeta = choose_zeta(report.mahler, report.bound)
-    else:
+    elif graph.m > 1:
         if not (0.0 < zeta < 1.0):
             raise InfeasibleZetaError(f"zeta must lie in (0, 1), got {zeta}")
         inv = 1.0 / zeta
@@ -186,17 +189,26 @@ def design_consensus(S: np.ndarray, graph: SensorGraph, zeta: float | None = Non
                 f"1/zeta = {inv:.6f} outside (mahler, bound] = "
                 f"({report.mahler:.6f}, {report.bound:.6f}]"
             )
-    # per-mode requirement used by the gain argument; guaranteed by
-    # 1/zeta <= bound, asserted numerically per graph
-    mu2m = graph.mu2 + graph.mu_max
-    zeta_j = np.abs(1.0 - 2.0 * graph.mu[1:] / mu2m)
-    if np.any(zeta_j > zeta + 1e-12):
-        raise InfeasibleZetaError(
-            f"zeta = {zeta:.6f} below per-mode requirement {zeta_j.max():.6f}"
-        )
-    P, history = solve_mare(S, zeta, keep_history=True)
-    Gamma = compute_gamma(S, P, graph)
-    radii = verify_gain(S, Gamma, graph, raise_on_fail=True)
+    if graph.m > 1:
+        # per-mode requirement used by the gain argument; guaranteed by
+        # 1/zeta <= bound, asserted numerically per graph
+        mu2m = graph.mu2 + graph.mu_max
+        zeta_j = np.abs(1.0 - 2.0 * graph.mu[1:] / mu2m)
+        if np.any(zeta_j > zeta + 1e-12):
+            raise InfeasibleZetaError(
+                f"zeta = {zeta:.6f} below per-mode requirement {zeta_j.max():.6f}"
+            )
+    P = np.zeros((n, n))
+    iterations = 0
+    if nu:
+        P[:nu, :nu], iterations = solve_mare(S[:nu, :nu], zeta, return_iterations=True)
+    # a single node never couples, and a stable S needs no coupling
+    Gamma = np.zeros(n)
+    radii = np.empty(0)
+    if graph.m > 1:
+        if nu:
+            Gamma = compute_gamma(S, P, graph)
+        radii = verify_gain(S, Gamma, graph, raise_on_fail=True)
     return ConsensusDesign(
         zeta=float(zeta),
         Pmare=P,
@@ -204,7 +216,7 @@ def design_consensus(S: np.ndarray, graph: SensorGraph, zeta: float | None = Non
         mahler=report.mahler,
         bound=report.bound,
         spectral_radii=radii,
-        mare_iterations=len(history) - 1,
+        mare_iterations=iterations,
     )
 
 

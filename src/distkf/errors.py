@@ -59,8 +59,6 @@ class GainInfeasibleError(InfeasibleDesignError):
     pass
 
 
-class PoleClashError(InfeasibleDesignError):
-    pass
 
 
 class NumericalError(DistkfError):
@@ -79,6 +77,11 @@ class UnstableMatrixError(NumericalError):
 
 class IllConditionedError(NumericalError):
     pass
+
+
+class PoleClashError(NumericalError):
+    """The poles of the local filter cannot keep their gap to the closed
+    loop's spectrum and to each other."""
 
 
 class UnstableAugmentedError(NumericalError):

@@ -79,6 +79,21 @@ def random_connected_graph(rng, m):
     raise RuntimeError("failed to sample a connected graph")
 
 
+def heat_grid(seed, N=4, m=10, radius=2.0):
+    """Seeded N x N zero-flux heat grid watched by m interpolating sensors
+    on a geometric graph; sensors are jittered over an (m/2) x 2 tiling of
+    the grid so that the graph is connected."""
+    rng = np.random.default_rng(seed)
+    cells = [(c, r) for r in range(2) for c in range(m // 2)]
+    w, h = (N - 1) / (m // 2), (N - 1) / 2
+    pos = np.array([((c + rng.random()) * w, (r + rng.random()) * h) for c, r in cells])
+    A = distkf.heat_transition(N=N, alpha=0.2)
+    C = distkf.interpolation_rows(pos, N=N, h=1.0)
+    model = distkf.build_system(A, C, 0.04 * np.eye(N * N), 9.0 * np.eye(m))
+    graph = distkf.build_graph(distkf.geometric_adjacency(pos, radius), positions=pos)
+    return model, graph
+
+
 @pytest.fixture(scope="session")
 def example1():
     """Scenario, designs, and trial config for the 4-sensor ring example."""

@@ -12,6 +12,7 @@ from distkf import numerics
 from distkf.errors import InfeasibleConditionError
 
 from conftest import (
+    heat_grid,
     matrix_with_spectrum,
     random_connected_graph,
     random_observable_model,
@@ -26,10 +27,10 @@ def _report(num, name, detail):
 
 # -------------------------------------------------------------------- 1 ---
 
-def test_criterion_1_losslessness(example1):
+def test_criterion_1_losslessness(example1, example2_design):
     """Weighted local filters reproduce the centralized estimate at every
-    step: 50 random observable systems plus the ring example, 200 steps,
-    residual <= 1e-7 * (1 + ||xhat||)."""
+    step: 50 random observable systems, the ring and heat examples and
+    two seeded 4x4 heat grids, 200 steps, residual <= 1e-7 * (1 + ||xhat||)."""
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(50):
@@ -40,11 +41,19 @@ def test_criterion_1_losslessness(example1):
             bundle, model, design, horizon=200, seed=int(rng.integers(1 << 31)), tol=1e-7
         )
         worst = max(worst, rep.max_relative_residual)
-    sc, designs = example1
-    rep = distkf.verify_lossless(designs.bundle, sc.model, designs.kalman, horizon=200, seed=5, tol=1e-7)
-    worst = max(worst, rep.max_relative_residual)
+    for sc, designs in (example1, example2_design):
+        rep = distkf.verify_lossless(
+            designs.bundle, sc.model, designs.kalman, horizon=200, seed=5, tol=1e-7
+        )
+        worst = max(worst, rep.max_relative_residual)
+    for seed in (11, 12):
+        model, _ = heat_grid(seed)
+        design = distkf.design_kalman(model)
+        bundle = distkf.build_bundle(model, design)
+        rep = distkf.verify_lossless(bundle, model, design, horizon=200, seed=seed, tol=1e-7)
+        worst = max(worst, rep.max_relative_residual)
     assert worst <= 1e-7
-    _report(1, "losslessness", f"max stepwise residual {worst:.2e} over 51 systems x 200 steps")
+    _report(1, "losslessness", f"max stepwise residual {worst:.2e} over 54 systems x 200 steps")
 
 
 # -------------------------------------------------------------------- 2 ---

@@ -127,12 +127,18 @@ class TestAsymptoticCovariance:
             ana = np.array([np.diag(rep.node_block(i)) for i in range(4)])
             assert np.max(np.abs(emp - ana) / ana) < 0.10
 
-    def test_variants_differ(self, example1):
-        # the deviation dynamics are genuinely different per variant
+    def test_variants_at_or_below_previous_design(self, example1):
+        # exact per-node traces of the companion-basis design with the
+        # full-S MARE gain; the modal design with the unstable-block gain
+        # may not do worse on either variant
         sc, designs = example1
-        _, rep1 = build_report(sc, designs, "alg1")
-        _, rep2 = build_report(sc, designs, "alg2")
-        assert not np.allclose(rep1.per_node_trace, rep2.per_node_trace, rtol=0.05)
+        previous = {
+            "alg1": [2.39123857, 2.6769634, 3.20569414, 3.21090474],
+            "alg2": [4.73873718, 5.35656934, 8.84528331, 8.82228217],
+        }
+        for variant, bound in previous.items():
+            _, rep = build_report(sc, designs, variant)
+            assert np.all(rep.per_node_trace <= bound)
 
     def test_loewner_floor(self, example1):
         # no node can beat the centralized filter

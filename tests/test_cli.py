@@ -102,6 +102,11 @@ class TestDesignCommand:
         assert data["message_size"] == 2
         assert data["consensus"]["feasible"] is True
         assert np.asarray(data["decomposition"]["F"]).shape == (4, 2, 2)
+        assert np.asarray(data["reduced"]["alpha"]).shape == (4, 2, 2)
+        assert data["reduced"]["alpha_skipped_reason"] is None
+        # Pmare is zero outside the unstable block (the second coordinate)
+        P = np.asarray(data["consensus"]["Pmare"])
+        assert P[0, 0] > 0 and np.all(P[1] == 0) and np.all(P[:, 1] == 0)
         assert (out / "feasibility.txt").exists()
 
 
@@ -174,6 +179,36 @@ class TestBadSimOptions:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+class TestBadDesignInputs:
+    """A defective closed loop and a stable-pole clash end with exit 4 and
+    exactly one error line on stderr."""
+
+    @pytest.mark.parametrize("overrides", [
+        # Jordan block with near-blind sensors: A - KCA equals A to roundoff
+        dict(system={"A": [[0.5, 1.0], [0.0, 0.5]], "C": [[1, 0], [0, 1], [1, 1], [1, -1]],
+                     "Q": [[1, 0], [0, 1]], "R": np.diag([1e20] * 4).tolist()},
+             design={}),
+        # 0.6286 lies within 1e-3 of the closed-loop pole 0.62859...
+        dict(design={"zeta": 0.5, "stable_poles": [0.6286]}),
+    ], ids=["defective-closed-loop", "stable-pole-clash"])
+    def test_exit_4(self, tmp_path, overrides):
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        proc = TestBadSimOptions._run(
+            ["design", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        )
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_design_json_writes_null_alpha_with_reason(self, example2_design):
+        sc, designs = example2_design
+        alg2 = distkf.design_pipeline(sc.model, sc.graph, variant="alg2")
+        data = json.loads(json.dumps(cli._design_dict(sc, alg2, "alg2")))
+        assert data["reduced"]["alpha"] is None
+        assert "cond(K_beta)" in data["reduced"]["alpha_skipped_reason"]
+        assert data["decomposition"]["diagnostics"]["F"]["route"] == "modal"
 
 
 class TestFlagForwarding:

@@ -3,10 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import distkf
-from distkf import consensus
+from distkf import consensus, numerics
 from distkf.errors import GainInfeasibleError, InfeasibleConditionError, InfeasibleZetaError
 
-from conftest import random_connected_graph, random_observable_model
+from conftest import matrix_with_spectrum, random_connected_graph, random_observable_model
 
 
 class TestCheckCondition:
@@ -46,18 +46,63 @@ class TestSolveMare:
             distkf.solve_mare([[1.1]], 0.95)
 
     def test_strict_inequality_margin(self, example1):
+        # the MARE runs on the unstable block; Pmare is zero outside it
         _, designs = example1
         c = designs.consensus
-        margin = consensus.mare_margin(designs.bundle.S, c.Pmare, c.zeta)
-        assert margin >= 1e-10 * np.linalg.norm(c.Pmare)
+        nu = designs.split.nu
+        Pu = c.Pmare[:nu, :nu]
+        margin = consensus.mare_margin(designs.bundle.S[:nu, :nu], Pu, c.zeta)
+        assert margin >= 1e-10 * np.linalg.norm(Pu)
         # the +I forcing pins the margin at one
         assert margin == pytest.approx(1.0, rel=1e-6)
+        assert np.all(c.Pmare[nu:] == 0.0) and np.all(c.Pmare[:, nu:] == 0.0)
+        assert c.mare_iterations > 0
 
     def test_monotone_iterates(self, example1):
+        # fixed-point iterates from P = I rise in the Loewner order and
+        # stay below the returned solution
         _, designs = example1
-        P, history = distkf.solve_mare(designs.bundle.S, 0.5, keep_history=True)
-        for a, b in zip(history[:-1], history[1:]):
-            assert np.min(np.linalg.eigvalsh(b - a)) >= -1e-9 * (1 + np.linalg.norm(b))
+        S = designs.bundle.S
+        P, iterations = distkf.solve_mare(S, 0.5, return_iterations=True)
+        ones = np.ones(2)
+        prev = np.eye(2)
+        for _ in range(iterations):
+            g = S.T @ prev @ ones
+            nxt = S.T @ prev @ S - 0.75 * np.outer(g, g) / (ones @ prev @ ones) + np.eye(2)
+            assert np.min(np.linalg.eigvalsh(nxt - prev)) >= -1e-9 * (1 + np.linalg.norm(nxt))
+            assert np.min(np.linalg.eigvalsh(P - nxt)) >= -1e-9 * (1 + np.linalg.norm(P))
+            prev = nxt
+        assert_allclose(prev, P, rtol=1e-9)
+
+
+class TestUnstableBlockGain:
+    def test_scalar_block_closed_form(self, example1, example2_design):
+        # nu = 1: Gamma = [2 s_u / (mu_2 + mu_m), 0, ..., 0]
+        for _, designs in (example1, example2_design):
+            g, S = designs.graph, designs.bundle.S
+            want = np.zeros(S.shape[0])
+            want[0] = 2.0 * S[0, 0] / (g.mu2 + g.mu_max)
+            assert_allclose(designs.consensus.Gamma, want, rtol=1e-12, atol=0)
+
+    def test_stable_plant_gets_zero_gain(self):
+        rng = np.random.default_rng(113)
+        model = random_observable_model(rng, n=3, m=3, allow_unstable=False)
+        designs = distkf.design_pipeline(model, distkf.ring_graph(3))
+        c = designs.consensus
+        assert np.all(c.Gamma == 0.0) and np.all(c.Pmare == 0.0)
+        assert c.mare_iterations == 0
+        assert_allclose(c.spectral_radii, numerics.spectral_radius(designs.bundle.S))
+
+    def test_complex_unstable_pair(self):
+        # a rotating unstable pair gives a 2 x 2 real block and a 2-dim MARE
+        rng = np.random.default_rng(5)
+        A = matrix_with_spectrum(rng, np.array([1.1 * np.exp(0.7j), 1.1 * np.exp(-0.7j), 0.4]))
+        model = distkf.build_system(A, rng.standard_normal((4, 3)), np.eye(3), np.eye(4))
+        designs = distkf.design_pipeline(model, distkf.complete_graph(4))
+        c = designs.consensus
+        assert designs.split.nu == 2
+        assert np.all(c.Gamma[2:] == 0.0) and np.all(c.Pmare[2:] == 0.0)
+        assert np.all(c.spectral_radii < 1.0)
 
 
 class TestComputeGamma:

@@ -1,13 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import distkf
 from distkf import decomposition, numerics
-from distkf.errors import IllConditionedError, LosslessViolationError, PoleClashError
+from distkf.errors import (
+    ConfigError,
+    IllConditionedError,
+    LosslessViolationError,
+    PoleClashError,
+)
 from distkf.kalman import KalmanDesign
 
-from conftest import random_observable_model
+from conftest import heat_grid, random_observable_model
 
 
 def fake_design(Acl):
@@ -16,19 +23,56 @@ def fake_design(Acl):
     return KalmanDesign(Sigma=np.eye(n), Ppost=np.eye(n), K=np.zeros((n, 1)), Acl=Acl)
 
 
+def stable_split(n):
+    """Split of a stable n-state plant (nu = 0)."""
+    model = distkf.build_system(0.5 * np.eye(n), np.eye(n), np.eye(n), np.eye(n))
+    return distkf.split_model(model)
+
+
+def modal_lambda(design, split, stable_poles=None):
+    basis = distkf.design_S_beta(distkf.build_lambda(design), split, stable_poles=stable_poles)
+    return basis, basis.S - np.outer(np.ones(len(basis.s)), basis.beta)
+
+
+def assert_same_char_poly(X, Y, tol=1e-10):
+    want = numerics.char_poly(Y)
+    got = numerics.char_poly(X)
+    assert_allclose(got, want, rtol=0, atol=tol * (1 + np.abs(want).max()))
+
+
+def assert_modal_identities(bundle, kd, split, tol=1e-10):
+    """Every defining identity of the decomposition, at ``tol``."""
+    n = bundle.n
+    ones = np.ones(n)
+    assert_same_char_poly(bundle.Lambda, kd.Acl, tol)
+    assert numerics.is_controllable_pair(bundle.Lambda, ones)
+    assert_allclose(bundle.Lambda, bundle.S - np.outer(ones, bundle.beta), rtol=0, atol=1e-14)
+    for i in range(bundle.m):
+        Fi = bundle.F[i]
+        assert np.linalg.norm(Fi @ bundle.Lambda - kd.Acl @ Fi) <= tol * (1 + np.linalg.norm(Fi))
+        assert np.linalg.norm(Fi @ ones - kd.K[:, i]) <= tol * (1 + np.linalg.norm(kd.K[:, i]))
+        Giu = bundle.G[i][:, : split.nu]
+        assert np.linalg.norm(bundle.S @ Giu - Giu @ split.Au) <= tol * (1 + np.linalg.norm(Giu))
+        q = split.Ciu[i] @ split.Au
+        assert np.linalg.norm(bundle.beta @ Giu - q) <= tol * (1 + np.linalg.norm(q))
+    assert bundle.diagnostics["F"]["route"] == bundle.diagnostics["G"]["route"] == "modal"
+
+
 class TestBuildLambda:
     def test_scalar_is_closed_loop(self):
-        lam = distkf.build_lambda(fake_design([[0.37]]))
+        modes = distkf.build_lambda(fake_design([[0.37]]))
+        assert_allclose(modes.lam, [0.37], rtol=1e-15)
+        basis, lam = modal_lambda(fake_design([[0.37]]), stable_split(1))
         assert_allclose(lam, [[0.37]], rtol=1e-12)
+        # the one stable pick sits one step off the closed-loop pole
+        assert_allclose(basis.S, [[0.37 + 1.5e-3]], rtol=1e-12)
 
     def test_two_state_spectrum_and_controllability(self):
         # char poly s^2 - 0.5 s + 0.06 has roots 0.2 and 0.3
-        lam = distkf.build_lambda(fake_design(np.diag([0.2, 0.3])))
-        assert_allclose(sorted(np.linalg.eigvals(lam).real), [0.2, 0.3], atol=1e-10)
+        _, lam = modal_lambda(fake_design(np.diag([0.2, 0.3])), stable_split(2))
+        assert_allclose(sorted(np.linalg.eigvals(lam).real), [0.2, 0.3], atol=1e-12)
         assert numerics.svd_rank(numerics.ctrb(lam, np.ones(2))) == 2
-        # companion form under the ones-similarity
-        phi = decomposition._companion_coefficients(lam)
-        assert_allclose(phi, [1.0, -0.5, 0.06], atol=1e-12)
+        assert_allclose(numerics.char_poly(lam), [1.0, -0.5, 0.06], atol=1e-12)
 
     def test_ring_example_shares_closed_loop_spectrum(self, example1):
         _, designs = example1
@@ -41,19 +85,21 @@ class TestBuildLambda:
         for _ in range(15):
             model = random_observable_model(rng)
             design = distkf.design_kalman(model)
-            lam = distkf.build_lambda(design)
-            want = numerics.char_poly(design.Acl)
-            got = numerics.char_poly(lam)
-            assert_allclose(got, want, atol=1e-8 * (1 + np.abs(want).max()))
+            bundle = distkf.build_bundle(model, design)
+            assert_same_char_poly(bundle.Lambda, design.Acl, 1e-10)
+
+    def test_defective_closed_loop_refused(self):
+        # a Jordan block is not diagonalizable
+        with pytest.raises(IllConditionedError, match="defective"):
+            distkf.build_lambda(fake_design([[0.5, 1.0], [0.0, 0.5]]))
 
 
 class TestBuildF:
     def test_scalar_equals_gain_columns(self):
         model = distkf.build_system([[0.5]], [[1.0], [2.0]], [[1.0]], np.eye(2))
         design = distkf.design_kalman(model)
-        lam = distkf.build_lambda(design)
-        F, info = distkf.build_F(design, lam)
-        assert_allclose(F[:, :, 0].T, design.K, atol=1e-12)
+        bundle = distkf.build_bundle(model, design)
+        assert_allclose(bundle.F[:, :, 0].T, design.K, atol=1e-12)
 
     def test_defining_identities(self, example1):
         _, designs = example1
@@ -61,41 +107,55 @@ class TestBuildF:
         kd = designs.kalman
         ones = np.ones(b.n)
         for i in range(b.m):
-            assert np.linalg.norm(b.F[i] @ b.Lambda - kd.Acl @ b.F[i]) <= 1e-8 * (
+            assert np.linalg.norm(b.F[i] @ b.Lambda - kd.Acl @ b.F[i]) <= 1e-10 * (
                 1 + np.linalg.norm(b.F[i])
             )
-            assert np.linalg.norm(b.F[i] @ ones - kd.K[:, i]) <= 1e-8
+            assert np.linalg.norm(b.F[i] @ ones - kd.K[:, i]) <= 1e-10
 
     def test_krylov_and_stacked_routes_agree(self):
+        # F is unique given Lambda, so the closed form must equal both the
+        # Krylov solution R_Y R_X^{-1} and the stacked Kronecker solve
         rng = np.random.default_rng(67)
         for _ in range(8):
             model = random_observable_model(rng, n=3, m=2)
             design = distkf.design_kalman(model)
-            lam = distkf.build_lambda(design)
-            F, info = distkf.build_F(design, lam)
-            assert info["route"] == "krylov"
+            bundle = distkf.build_bundle(model, design)
+            lam, F = bundle.Lambda, bundle.F
+            assert bundle.diagnostics["F"]["route"] == "modal"
             n = 3
             ones = np.ones(n)
+            RX = numerics.ctrb(lam, ones)
             stacked = np.vstack(
                 [np.kron(lam.T, np.eye(n)) - np.kron(np.eye(n), design.Acl),
                  np.kron(ones, np.eye(n))]
             )
             for i in range(2):
+                krylov = np.linalg.solve(RX.T, numerics.ctrb(design.Acl, design.K[:, i]).T).T
+                assert_allclose(F[i], krylov, atol=1e-8)
                 rhs = np.concatenate([np.zeros(n * n), design.K[:, i]])
                 vec, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-                assert_allclose(vec.reshape((n, n), order="F"), F[i], atol=1e-6)
+                assert_allclose(F[i], vec.reshape((n, n), order="F"), atol=1e-8)
 
 
 class TestDesignSBeta:
     def test_stable_plant_all_poles_free(self):
+        # every pole of S is one of Acl's eigenvalues moved along the real
+        # axis by a nonzero multiple of 1.5e-3, with the 1e-3 gaps kept
         rng = np.random.default_rng(71)
         model = random_observable_model(rng, n=3, m=2, allow_unstable=False)
         design = distkf.design_kalman(model)
-        lam = distkf.build_lambda(design)
-        split = distkf.split_model(model)
-        S, beta = distkf.design_S_beta(lam, split)
-        got = np.sort(np.linalg.eigvals(S).real)
-        assert_allclose(got, sorted(decomposition.default_stable_poles(3)), atol=1e-7)
+        bundle = distkf.build_bundle(model, design)
+        s = bundle.modal.s
+        lam = np.linalg.eigvals(design.Acl)
+        assert np.abs(s[:, None] - lam[None, :]).min() >= 1e-3
+        assert (np.abs(s[:, None] - s[None, :]) + np.eye(3)).min() >= 1e-3
+        for p in s:
+            near = lam[np.argmin(np.abs(lam.real - p.real) + 1e3 * np.abs(lam.imag - p.imag))]
+            steps = (p.real - near.real) / 1.5e-3
+            assert abs(p.imag - near.imag) <= 1e-12
+            assert round(steps) != 0 and abs(steps - round(steps)) <= 1e-9
+        got = np.sort_complex(np.linalg.eigvals(bundle.S))
+        assert_allclose(got, np.sort_complex(s), atol=1e-12)
 
     def test_ring_example_divisibility(self, example1):
         _, designs = example1
@@ -111,25 +171,93 @@ class TestDesignSBeta:
     def test_scalar_unstable(self):
         model = distkf.build_system([[1.1]], [[1.0]], [[1.0]], [[1.0]])
         design = distkf.design_kalman(model)
-        lam = distkf.build_lambda(design)
-        split = distkf.split_model(model)
-        S, beta = distkf.design_S_beta(lam, split)
-        assert_allclose(beta, [1.1 - lam[0, 0]], rtol=1e-9)
-        assert_allclose(S, [[1.1]], rtol=1e-9)
+        basis, lam = modal_lambda(design, distkf.split_model(model))
+        assert_allclose(lam, design.Acl, rtol=1e-12)
+        assert_allclose(basis.beta, [1.1 - design.Acl[0, 0]], rtol=1e-12)
+        assert_allclose(basis.S, [[1.1]], rtol=1e-12)
 
     def test_pole_clash_rejected(self, example1):
         _, designs = example1
-        lam = designs.bundle.Lambda
-        split = designs.split
-        clash = [np.linalg.eigvals(lam)[0].real]
+        modes = distkf.build_lambda(designs.kalman)
+        clash = [np.linalg.eigvals(designs.bundle.Lambda)[0].real]
         with pytest.raises(PoleClashError):
-            distkf.design_S_beta(lam, split, stable_poles=clash)
+            distkf.design_S_beta(modes, designs.split, stable_poles=clash)
+        # 1e-3 is the least admissible distance
+        near = [clash[0] + 0.9e-3]
+        with pytest.raises(PoleClashError):
+            distkf.design_S_beta(modes, designs.split, stable_poles=near)
 
     def test_user_poles_respected(self, example1):
         _, designs = example1
-        S, beta = distkf.design_S_beta(designs.bundle.Lambda, designs.split, stable_poles=[0.25])
-        got = np.sort(np.linalg.eigvals(S).real)
-        assert_allclose(got, [0.25, 1.1], atol=1e-9)
+        basis = distkf.design_S_beta(
+            distkf.build_lambda(designs.kalman), designs.split, stable_poles=[0.25]
+        )
+        got = np.sort(np.linalg.eigvals(basis.S).real)
+        assert_allclose(got, [0.25, 1.1], atol=1e-12)
+
+    def test_complex_user_poles_respected(self):
+        model = distkf.build_system(
+            np.diag([1.1, 0.5, 0.3]), [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]],
+            np.eye(3), np.eye(3),
+        )
+        design = distkf.design_kalman(model)
+        split = distkf.split_model(model)
+        picks = [0.2 - 0.3j, 0.2 + 0.3j]
+        bundle = distkf.build_bundle(model, design, split=split, stable_poles=picks)
+        want = np.sort_complex(np.array([1.1, *picks]))
+        assert_allclose(np.sort_complex(np.linalg.eigvals(bundle.S)), want, atol=1e-12)
+        assert_modal_identities(bundle, design, split)
+
+    def test_malformed_user_poles(self, example1):
+        _, designs = example1
+        modes = distkf.build_lambda(designs.kalman)
+        for bad in ([0.2, 0.3], [1.2], [0.2 + 0.1j]):
+            with pytest.raises(ConfigError):
+                distkf.design_S_beta(modes, designs.split, stable_poles=bad)
+
+
+class TestModalIdentities:
+    def test_random_plants_with_complex_spectra(self):
+        # the conftest plants have complex closed-loop eigenvalues and
+        # complex unstable pairs; every identity holds in the real form
+        rng = np.random.default_rng(59)
+        complex_acl = complex_unstable = 0
+        for _ in range(40):
+            model = random_observable_model(rng)
+            design = distkf.design_kalman(model)
+            split = distkf.split_model(model)
+            bundle = distkf.build_bundle(model, design, split=split)
+            assert_modal_identities(bundle, design, split)
+            complex_acl += np.any(np.linalg.eigvals(design.Acl).imag != 0)
+            complex_unstable += np.any(bundle.modal.s[: split.nu].imag != 0)
+        assert complex_acl >= 5 and complex_unstable >= 2
+
+    @pytest.mark.parametrize("A", [
+        np.eye(2),                            # two random walks
+        np.diag([1.05, 1.05, 0.5]),
+        np.diag([1.0, 1.0, 1.0, 0.5]),        # a chain of three
+        np.diag([1.1, 1.1, 1.2, 0.3]),        # a chain next to a simple pole
+        np.array([[1.0, 1.0], [0.0, 1.0]]),   # double integrator: Au is defective
+    ], ids=["I2", "double", "triple", "mixed", "integrator"])
+    def test_repeated_unstable_pole(self, A):
+        # a repeated unstable plant pole is carried by a Jordan chain of S
+        n = A.shape[0]
+        C = np.random.default_rng(n).standard_normal((n + 1, n))
+        model = distkf.build_system(A, C, 0.1 * np.eye(n), np.eye(n + 1))
+        split = distkf.split_model(model)
+        for variant in ("alg1", "alg2"):
+            designs = distkf.design_pipeline(model, distkf.ring_graph(n + 1), variant=variant)
+        assert np.any(designs.bundle.modal.link)
+        assert_modal_identities(designs.bundle, designs.kalman, split)
+        rep = distkf.verify_lossless(designs.bundle, model, designs.kalman, horizon=200, tol=1e-10)
+        assert rep.max_relative_residual <= 1e-10
+        _assert_impulse_match(designs.bundle, designs.reduced, steps=50)
+        assert np.all(designs.consensus.spectral_radii < 1.0)
+
+    def test_heat_identities(self, example2_design):
+        sc, designs = example2_design
+        assert_modal_identities(designs.bundle, designs.kalman, designs.split)
+        assert designs.bundle.diagnostics["conditioning"] <= 1e-2
 
 
 class TestBuildG:
@@ -313,19 +441,31 @@ class TestReduceModel:
             red = distkf.reduce_model(bundle)
             _assert_impulse_match(bundle, red, steps=50)
 
-    def test_ill_conditioned_rejected(self):
-        # beta invisible to the second Krylov direction: K_beta singular
-        S = np.diag([0.5, 0.5 + 1e-14])
-        bad = distkf.DecompositionBundle(
-            Lambda=np.diag([0.1, 0.2]),
-            beta=np.array([1.0, 0.0]),
-            S=S,
-            F=np.zeros((2, 2, 2)),
-            G=np.zeros((2, 2, 2)),
-            phiS=np.real(np.poly(np.diag(S))),
+    def test_ill_conditioned_rejected(self, example1, example2_design):
+        # the monomial coefficients are filled only while cond(K_beta) <=
+        # 1e12; the realization itself never needs them
+        assert example1[1].reduced.alpha is not None
+        sc, designs = example2_design
+        red = distkf.reduce_model(designs.bundle)
+        assert red.alpha is None
+        assert "exceeds 1e+12" in red.alpha_skipped_reason
+        assert red.T.shape == (sc.model.n ** 2, sc.model.m)
+
+    def test_heat_alg2_impulse_response_match(self, example2_design):
+        sc, designs = example2_design
+        alg2 = distkf.design_pipeline(
+            sc.model, sc.graph, zeta=sc.zeta, stable_poles=sc.stable_poles, variant="alg2"
         )
-        with pytest.raises(IllConditionedError):
-            distkf.reduce_model(bad)
+        _assert_impulse_match(alg2.bundle, alg2.reduced, steps=50)
+
+    def test_bundle_without_modal_basis_refused(self, example1):
+        _, designs = example1
+        b = designs.bundle
+        bare = distkf.DecompositionBundle(
+            Lambda=b.Lambda, beta=b.beta, S=b.S, F=b.F, G=b.G, phiS=b.phiS
+        )
+        with pytest.raises(ConfigError):
+            distkf.reduce_model(bare)
 
 
 def _assert_impulse_match(bundle, red, steps=50):
@@ -364,17 +504,41 @@ class TestLargeSystemConstruction:
         b = designs.bundle
         kd = designs.kalman
         ones = np.ones(b.n)
-        # the Krylov route is hopeless at n = 25; the stacked solve keeps
-        # the defining identities tight
-        assert designs.bundle.diagnostics["F"]["route"] == "stacked-lstsq"
+        # the closed form keeps the defining identities at roundoff at n = 25
+        assert designs.bundle.diagnostics["F"]["route"] == "modal"
+        assert designs.bundle.diagnostics["F"]["residual"] <= 1e-12
+        assert designs.bundle.diagnostics["G"]["residual"] <= 1e-12
         for i in range(b.m):
-            assert np.linalg.norm(b.F[i] @ b.Lambda - kd.Acl @ b.F[i]) <= 1e-8 * (
+            assert np.linalg.norm(b.F[i] @ b.Lambda - kd.Acl @ b.F[i]) <= 1e-10 * (
                 1 + np.linalg.norm(b.F[i])
             )
-            assert np.linalg.norm(b.F[i] @ ones - kd.K[:, i]) <= 1e-8
+            assert np.linalg.norm(b.F[i] @ ones - kd.K[:, i]) <= 1e-10
 
     def test_heat_controllability_warning(self):
+        # the pairs (Lambda, 1) and (S', beta) pass the PBH test on heat,
+        # and the build warns about nothing
         sc = distkf.example2_scenario(trials=1)
         design = distkf.design_kalman(sc.model)
-        with pytest.warns(UserWarning, match="PBH controllability"):
-            distkf.build_bundle(sc.model, design)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bundle = distkf.build_bundle(sc.model, design)
+        assert numerics.is_controllable_pair(bundle.Lambda, np.ones(bundle.n))
+        assert numerics.is_controllable_pair(bundle.S.T, bundle.beta)
+
+
+class TestHeatLosslessness:
+    """Defect 1: the companion basis lost losslessness on heat (6.9e-5)."""
+
+    def test_example2(self, example2_design):
+        sc, designs = example2_design
+        rep = distkf.verify_lossless(designs.bundle, sc.model, designs.kalman, horizon=200,
+                                     seed=3, tol=1e-10)
+        assert rep.max_relative_residual <= 1e-10
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_heat_grids(self, seed):
+        model, _ = heat_grid(seed)
+        design = distkf.design_kalman(model)
+        bundle = distkf.build_bundle(model, design)
+        rep = distkf.verify_lossless(bundle, model, design, horizon=200, seed=seed, tol=1e-10)
+        assert rep.max_relative_residual <= 1e-10

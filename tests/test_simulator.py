@@ -7,7 +7,7 @@ from distkf import _kernels
 from distkf.decomposition import psd_factor
 from distkf.errors import ConfigError
 
-from conftest import trial_config
+from conftest import heat_grid, trial_config
 from loop_kernels import sim_alg1_loops, sim_alg2_loops
 
 
@@ -368,3 +368,19 @@ class TestCsvExport:
         header = lines[0].split(",")
         assert header[1] == "node1_mse_1"
         assert "node1_mse" in header
+
+
+class TestHeatLinkDrops:
+    def test_deviation_power_under_drops(self):
+        # a dropped link leaves an imbalance of the size of the internal
+        # states; with the huge states of a companion-basis design the
+        # deviation power rose from about 0.5 to about 3e7 with 10% drops
+        model, graph = heat_grid(5)
+        designs = distkf.design_pipeline(model, graph, variant="alg1")
+        power = {}
+        for drop in (0.0, 0.1):
+            strategy = distkf.bernoulli_drop_strategy(drop) if drop else distkf.static_strategy()
+            cfg = distkf.TrialConfig(horizon=100, seed=17, variant="alg1", strategy=strategy)
+            res = distkf.run_monte_carlo(model, designs, cfg, 10)
+            power[drop] = res.tr_wbar(slice(50, 101)) / model.m
+        assert power[0.1] <= 2.0 * power[0.0]
