@@ -144,12 +144,24 @@ def cmd_design(args) -> int:
 
 
 def _analytic_report(sc: Scenario, designs, variant):
-    """Variant-matched analytic covariance, skipped above the size cap."""
+    """Variant-matched analytic covariance, or None and the reason it was
+    skipped: above the size cap, or for a run the covariance model does
+    not describe (it models one consensus round per sample over static
+    links, with the consensus state read out unchanged)."""
     n, m = sc.model.n, sc.model.m
     blk = m * n if variant == "alg1" else n * n
     dim = (m - 1) * blk + m * n + designs.split.ns
     if dim > _ANALYTIC_DIM_CAP:
         return None, f"augmented dimension {dim} exceeds cap {_ANALYTIC_DIM_CAP}"
+    unmodeled = []
+    if sc.rounds_per_sample > 1:
+        unmodeled.append(f"rounds_per_sample {sc.rounds_per_sample}")
+    if sc.drop_prob > 0.0:
+        unmodeled.append(f"drop_prob {sc.drop_prob:g}")
+    if sc.replace_own:
+        unmodeled.append("replace_own")
+    if unmodeled:
+        return None, "the covariance model does not cover " + ", ".join(unmodeled)
     aug = analysis.build_augmented(
         sc.model, designs.split, designs.kalman, designs.bundle,
         designs.consensus, designs.graph, variant=variant, reduced=designs.reduced,
@@ -187,7 +199,9 @@ def cmd_simulate(args) -> int:
     with open(outdir / "covariance.json", "w", encoding="utf-8") as fh:
         json.dump(cov, fh, indent=1)
     print(f"wrote trace.csv, mse.csv, covariance.json to {outdir}")
-    if report is not None:
+    if report is None:
+        print(f"analytic covariance skipped: {skip_reason}")
+    else:
         emp = result.node_mse(window).sum(axis=1)
         ana = report.per_node_trace
         worst = float(np.max(np.abs(emp - ana) / ana))
@@ -219,20 +233,29 @@ def cmd_reproduce(args) -> int:
 
     report = {"scenario": sc.name, "variant": variant, "trials": sc.trials}
     if args.example == "example1":
-        ana, _ = _analytic_report(sc, designs, variant)
-        diag = np.array([np.diag(ana.node_block(i)) for i in range(sc.model.m)])
-        rel = np.abs(node_mse - diag) / diag
-        print("\nper-node steady-state MSE (empirical | analytic | rel.err):")
-        for i in range(sc.model.m):
-            for s in range(sc.model.n):
-                print(
-                    f"  node {i + 1} state {s + 1}: "
-                    f"{node_mse[i, s]:9.4f} | {diag[i, s]:9.4f} | {rel[i, s]:.3%}"
-                )
-        print(f"worst relative gap: {rel.max():.3%}")
+        ana, skip_reason = _analytic_report(sc, designs, variant)
         report["empirical_node_mse"] = node_mse.tolist()
-        report["analytic_node_diag"] = diag.tolist()
-        report["worst_relative_gap"] = float(rel.max())
+        report["analytic_node_diag"] = report["worst_relative_gap"] = None
+        report["analytic_skipped_reason"] = skip_reason
+        if ana is None:
+            print(f"\nanalytic covariance skipped: {skip_reason}")
+            print("per-node steady-state MSE (empirical):")
+            for i in range(sc.model.m):
+                for s in range(sc.model.n):
+                    print(f"  node {i + 1} state {s + 1}: {node_mse[i, s]:9.4f}")
+        else:
+            diag = np.array([np.diag(ana.node_block(i)) for i in range(sc.model.m)])
+            rel = np.abs(node_mse - diag) / diag
+            print("\nper-node steady-state MSE (empirical | analytic | rel.err):")
+            for i in range(sc.model.m):
+                for s in range(sc.model.n):
+                    print(
+                        f"  node {i + 1} state {s + 1}: "
+                        f"{node_mse[i, s]:9.4f} | {diag[i, s]:9.4f} | {rel[i, s]:.3%}"
+                    )
+            print(f"worst relative gap: {rel.max():.3%}")
+            report["analytic_node_diag"] = diag.tolist()
+            report["worst_relative_gap"] = float(rel.max())
     else:
         locals_ = local_baselines(sc.model)
         ratios = analysis.performance_ratios(

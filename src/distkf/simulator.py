@@ -9,12 +9,22 @@ Reproducibility: every trial owns counter-based RNG streams derived from
 ``SeedSequence`` entropy, with separate children for plant noise and for
 link failures.  Monte-Carlo trial t of master seed s uses entropy
 ``(s, t)``, so any trial can be replayed in isolation.
+
+Batching: ``run_trial(..., seeds=...)`` runs several trials through the
+kernel at once, along a leading trial axis, and ``run_monte_carlo`` runs
+its trials in such batches.  Each trial still draws from its own streams,
+with the same draws in the same order as when it runs alone, so batching
+changes a trial's result only by roundoff.  A batch's size is capped by
+``_BATCH_BYTES``, a budget on the per-trial arrays that grow with the
+horizon: a batch holds several such arrays at once, so the cap bounds
+the peak memory Monte Carlo adds, while the per-step cost of the Python
+loop is shared by the whole batch.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +75,9 @@ class TrialConfig:
 
 @dataclass(frozen=True, eq=False)
 class SimulationTrace:
+    """One trial's arrays; a batch of trials adds a leading trial axis to
+    each, and ``seed`` is then the list of the trials' seeds."""
+
     x: np.ndarray        # (T+1, n) truth
     y: np.ndarray        # (T+1, m) measurements
     xhat: np.ndarray     # (T+1, n) centralized estimate
@@ -75,13 +88,15 @@ class SimulationTrace:
 
     @property
     def errors(self) -> np.ndarray:
-        """Per-node estimation errors xbreve_i(k) - x(k), (T+1, m, n)."""
-        return self.xbreve - self.x[:, None, :]
+        """Per-node estimation errors xbreve_i(k) - x(k), (T+1, m, n)
+        (with the trial axis first for a batch)."""
+        return self.xbreve - self.x[..., None, :]
 
     @property
     def deviations(self) -> np.ndarray:
-        """Per-node deviations from the centralized estimate, (T+1, m, n)."""
-        return self.xbreve - self.xhat[:, None, :]
+        """Per-node deviations from the centralized estimate, (T+1, m, n)
+        (with the trial axis first for a batch)."""
+        return self.xbreve - self.xhat[..., None, :]
 
 
 _noise_factors: "weakref.WeakKeyDictionary[SystemModel, tuple]" = weakref.WeakKeyDictionary()
@@ -202,11 +217,19 @@ def step_node_alg2(
     )
 
 
-def run_trial(model: SystemModel, designs: DesignSet, config: TrialConfig) -> SimulationTrace:
+def run_trial(
+    model: SystemModel, designs: DesignSet, config: TrialConfig, *, seeds=None
+) -> SimulationTrace:
     """Simulate one seeded trial; returns the full trace.
 
     Node and filter states start at zero.  x(0) is zero unless
     ``initial_state_cov`` is given, in which case it is sampled first.
+
+    With ``seeds`` (a sequence of seeds, ``config.seed`` unused) the
+    trials run as one batch: every array of the returned trace gains a
+    leading trial axis, and slice t equals the trial run alone with
+    ``seeds[t]`` up to roundoff.  Each trial draws its noise and link
+    weights from its own streams, in the same order as a single trial.
     """
     n, m = model.n, model.m
     T = int(config.horizon)
@@ -218,36 +241,51 @@ def run_trial(model: SystemModel, designs: DesignSet, config: TrialConfig) -> Si
     if config.rounds_per_sample < 1:
         raise ConfigError("rounds_per_sample must be >= 1")
 
-    ss = _seed_sequence(config.seed)
-    noise_ss, link_ss = ss.spawn(2)
-    noise_rng = _rng(noise_ss)
+    batch = [config.seed] if seeds is None else list(seeds)
+    if not batch:
+        raise ConfigError("seeds must hold at least one seed")
     Lq, Lr = _factors(model)
+    L0 = None
     if config.initial_state_cov is not None:
         L0 = psd_factor(np.asarray(config.initial_state_cov, dtype=float))
-        x0 = L0 @ noise_rng.standard_normal(n)
-    else:
-        x0 = np.zeros(n)
-    w = noise_rng.standard_normal((T, n)) @ Lq.T
-    v = noise_rng.standard_normal((T + 1, m)) @ Lr.T
-    gains = config.strategy.sample_gains(
-        designs.graph.adjacency, T, config.rounds_per_sample, _rng(link_ss)
-    )
+    x0 = np.zeros((len(batch), n))
+    w = np.empty((len(batch), T, n))
+    v = np.empty((len(batch), T + 1, m))
+    gains = []
+    for b, seed in enumerate(batch):
+        noise_ss, link_ss = _seed_sequence(seed).spawn(2)
+        noise_rng = _rng(noise_ss)
+        if L0 is not None:
+            x0[b] = L0 @ noise_rng.standard_normal(n)
+        noise_rng.standard_normal(out=w[b])
+        noise_rng.standard_normal(out=v[b])
+        g = config.strategy.sample_gains(
+            designs.graph.adjacency, T, config.rounds_per_sample, _rng(link_ss)
+        )
+        # links that never change are passed once, not once per step
+        gains.append(g[:1] if g.strides[0] == 0 else g)
+    w = w @ Lq.T
+    v = v @ Lr.T
+    gains = np.stack(gains)
 
     kd, bundle = designs.kalman, designs.bundle
     if variant == "alg1":
         out = _kernels.sim_alg1(
             model.A, model.C, kd.Acl, kd.K, bundle.S, bundle.beta, bundle.F,
-            designs.consensus.Gamma, gains, w, v[0], v[1:], x0, config.replace_own,
+            designs.consensus.Gamma, gains, w, v[:, 0], v[:, 1:], x0, config.replace_own,
         )
     else:
         Tb = np.stack([designs.reduced.T_blocks(i) for i in range(m)])
         out = _kernels.sim_alg2(
             model.A, model.C, kd.Acl, kd.K, bundle.S, bundle.beta, Tb,
-            designs.consensus.Gamma, gains, w, v[0], v[1:], x0,
+            designs.consensus.Gamma, gains, w, v[:, 0], v[:, 1:], x0,
         )
-    x, y, xhat, xbreve, _, _ = out
+    x, y, xhat, xbreve = out[:4]
+    if seeds is None:
+        x, y, xhat, xbreve = x[0], y[0], xhat[0], xbreve[0]
     return SimulationTrace(
-        x=x, y=y, xhat=xhat, xbreve=xbreve, variant=variant, horizon=T, seed=config.seed
+        x=x, y=y, xhat=xhat, xbreve=xbreve, variant=variant, horizon=T,
+        seed=config.seed if seeds is None else batch,
     )
 
 
@@ -268,6 +306,17 @@ class MonteCarloResult:
         return float(self.dev_sq[steps].sum(axis=(1, 2)).mean())
 
 
+# Byte budget of one Monte-Carlo batch, counted on the per-trial arrays
+# that grow with the horizon: the node estimates (T+1, m, n) and, for links
+# that change per step, the link weights (T, rounds, m, m).  A batch's
+# other arrays and temporaries are a small multiple of these, so the
+# budget bounds the peak memory Monte Carlo adds to the process.  On
+# example1 (T = 100, 40 trials a batch) the per-step cost is already
+# shared: doubling the budget gained no speed and more than doubled the
+# added memory.
+_BATCH_BYTES = 256 * 1024
+
+
 def run_monte_carlo(
     model: SystemModel, designs: DesignSet, config: TrialConfig, trials: int
 ) -> MonteCarloResult:
@@ -275,7 +324,8 @@ def run_monte_carlo(
 
     Trial t runs with seed entropy ``(master, t)``; trials are mutually
     independent and may be distributed across processes by partitioning
-    the trial index range (aggregation is a plain mean).
+    the trial index range (aggregation is a plain mean).  Trials run in
+    batches of at most ``_BATCH_BYTES`` of per-trial arrays.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -286,20 +336,20 @@ def run_monte_carlo(
         base = tuple(int(v) for v in master)
     else:
         base = (int(master),)
-    acc_mse = None
-    acc_dev = None
     variant = resolve_variant(config.variant, model.n, model.m)
-    for t in range(trials):
-        trial_cfg = replace(config, seed=base + (t,))
-        trace = run_trial(model, designs, trial_cfg)
-        e2 = trace.errors**2
-        d2 = trace.deviations**2
-        if acc_mse is None:
-            acc_mse = e2
-            acc_dev = d2
-        else:
-            acc_mse += e2
-            acc_dev += d2
+    T, m = int(config.horizon), model.m
+    per_trial = 8 * (T + 1) * m * model.n
+    if not isinstance(config.strategy, StaticStrategy):
+        per_trial += 8 * T * config.rounds_per_sample * m * m
+    size = max(1, _BATCH_BYTES // per_trial)
+    acc_mse = acc_dev = 0.0
+    for start in range(0, trials, size):
+        seeds = [base + (t,) for t in range(start, min(start + size, trials))]
+        trace = run_trial(model, designs, config, seeds=seeds)
+        e = trace.errors
+        acc_mse = acc_mse + np.einsum("b...,b...->...", e, e)
+        d = trace.deviations
+        acc_dev = acc_dev + np.einsum("b...,b...->...", d, d)
     return MonteCarloResult(
         mse=acc_mse / trials, dev_sq=acc_dev / trials, trials=trials, variant=variant
     )

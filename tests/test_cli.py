@@ -144,6 +144,48 @@ class TestSimulateCommand:
         assert len(cov["empirical_node_mse"]) == 15
 
 
+class TestAnalyticSkippedForUnmodeledRuns:
+    """The covariance model has one consensus round per sample, static
+    links and the unchanged read-out: a run with more rounds, link drops
+    or ``replace_own`` writes no analytic covariance and prints no gap."""
+
+    @pytest.mark.parametrize("flags, sim, design, reason", [
+        (["--rounds", "2"], {}, {}, "rounds_per_sample 2"),
+        (["--drop", "0.2"], {}, {}, "drop_prob 0.2"),
+        ([], {}, {"replace_own": True, "variant": "alg1"}, "replace_own"),
+    ], ids=["rounds", "drop", "replace_own"])
+    def test_simulate(self, tmp_path, capsys, flags, sim, design, reason):
+        cfg = write_config(
+            tmp_path / "c.json",
+            design={"zeta": 0.5, **design},
+            sim={"horizon": 10, "trials": 2, "seed": 9, **sim},
+        )
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out), *flags]) == 0
+        cov = json.loads((out / "covariance.json").read_text())
+        assert cov["analytic"] is None
+        assert reason in cov["analytic_skipped_reason"]
+        assert len(cov["empirical_node_mse"]) == 4
+        text = capsys.readouterr().out
+        assert "gap" not in text and reason in text
+
+    @pytest.mark.parametrize("flags, reason", [
+        (["--rounds", "3"], "rounds_per_sample 3"),
+        (["--drop", "0.3"], "drop_prob 0.3"),
+    ], ids=["rounds", "drop"])
+    def test_reproduce_example1(self, tmp_path, capsys, flags, reason):
+        out = tmp_path / "rep"
+        code = cli.main(["reproduce", "example1", "--trials", "4", "--out", str(out), *flags])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["analytic_node_diag"] is None
+        assert report["worst_relative_gap"] is None
+        assert reason in report["analytic_skipped_reason"]
+        assert np.asarray(report["empirical_node_mse"]).shape == (4, 2)
+        text = capsys.readouterr().out
+        assert "gap" not in text and reason in text
+
+
 class TestBadSimOptions:
     """Link-drop probability outside [0, 1), negative seeds and non-numeric
     sim values end with exit 2 and exactly one error line on stderr, never
@@ -242,6 +284,7 @@ class TestReproduceCommand:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["worst_relative_gap"] < 0.15
+        assert report["analytic_skipped_reason"] is None
         text = capsys.readouterr().out
         assert "variant:          alg2" in text
 

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import distkf
-from distkf import _kernels
+from distkf import _kernels, simulator
 from distkf.decomposition import psd_factor
 from distkf.errors import ConfigError
 
@@ -235,7 +237,8 @@ class TestKernelAgainstStepFunctions:
             got = _kernels.sim_alg2(*args)
             want = sim_alg2_loops(*args, False, cfg.rounds_per_sample)
         for a, b in zip(got, want):
-            assert_allclose(a, b, rtol=1e-10)
+            # entries near zero carry the roundoff of the array's scale
+            assert_allclose(a, b, rtol=1e-10, atol=1e-10 * np.max(np.abs(b)))
         tr = distkf.run_trial(sc.model, designs, cfg)
         assert np.array_equal(tr.xbreve, got[3])
 
@@ -316,6 +319,46 @@ class TestConsensusDecay:
             prev = norm
         # after the transient every per-step contraction obeys the bound
         assert max(ratios[5:]) <= rho_max + 0.05
+
+
+class TestBatchedTrials:
+    @pytest.mark.parametrize("case", list(_LOOP_CASES), ids=list(_LOOP_CASES))
+    def test_slices_match_single_trials(self, example1, case):
+        sc, designs = example1
+        cfg = trial_config(sc, horizon=30, **_LOOP_CASES[case])
+        seeds = [(41, t) for t in range(5)]
+        batch = distkf.run_trial(sc.model, designs, cfg, seeds=seeds)
+        assert batch.xbreve.shape == (5, 31, 4, 2)
+        assert batch.seed == seeds
+        for t, seed in enumerate(seeds):
+            one = distkf.run_trial(sc.model, designs, replace(cfg, seed=seed))
+            for name in ("x", "y", "xhat", "xbreve"):
+                assert_allclose(getattr(batch, name)[t], getattr(one, name), rtol=1e-12)
+            assert_allclose(batch.errors[t], one.errors, rtol=1e-12)
+
+    @pytest.mark.parametrize("case", list(_LOOP_CASES), ids=list(_LOOP_CASES))
+    def test_batched_monte_carlo_matches_trial_mean(self, example1, monkeypatch, case):
+        sc, designs = example1
+        cfg = trial_config(sc, horizon=20, seed=6, **_LOOP_CASES[case])
+        T, m, n = 20, 4, 2
+        per_trial = 8 * (T + 1) * m * n
+        if "drop" in case:
+            per_trial += 8 * T * cfg.rounds_per_sample * m * m
+        monkeypatch.setattr(simulator, "_BATCH_BYTES", 3 * per_trial)
+        calls = []
+        single = simulator.run_trial
+
+        def counted(*args, **kwargs):
+            calls.append(len(kwargs["seeds"]))
+            return single(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "run_trial", counted)
+        res = distkf.run_monte_carlo(sc.model, designs, cfg, 8)
+        assert calls == [3, 3, 2]
+        traces = [single(sc.model, designs, replace(cfg, seed=(6, t))) for t in range(8)]
+        assert_allclose(res.mse, np.mean([tr.errors**2 for tr in traces], axis=0), rtol=1e-12)
+        assert_allclose(res.dev_sq, np.mean([tr.deviations**2 for tr in traces], axis=0),
+                        rtol=1e-12)
 
 
 class TestMonteCarlo:
