@@ -53,7 +53,6 @@ from .errors import (
     InfeasibleZetaError,
     LosslessViolationError,
     NoConvergenceError,
-    NotControllableError,
     NotDetectableError,
     NotObservableError,
     NumericalError,

@@ -68,14 +68,14 @@ def choose_zeta(mahler: float, bound: float) -> float:
     return 1.0 / inv
 
 
-def solve_mare(S: np.ndarray, zeta: float, return_iterations: bool = False):
+def solve_mare(S: np.ndarray, zeta: float):
     """Positive-definite solution of the rank-one modified Riccati relation
 
         P = S'PS - (1 - zeta^2) S'P 1 1'P S / (1'P1) + I
 
     by fixed-point iteration from P = I.  The +I forcing makes the strict
-    inequality version hold with unit margin.  With ``return_iterations``
-    the result is (P, number of iterations).
+    inequality version hold with unit margin.  Returns (P, number of
+    iterations).
 
     Raises:
         InfeasibleZetaError: zeta * mahler(S) >= 1 (no solution exists).
@@ -102,7 +102,7 @@ def solve_mare(S: np.ndarray, zeta: float, return_iterations: bool = False):
         if done:
             if mare_margin(S, P, zeta) <= 1e-10 * np.linalg.norm(P):
                 raise NoConvergenceError("MARE fixed point lost strict positivity")
-            return (P, k) if return_iterations else P
+            return P, k
     raise NoConvergenceError("MARE fixed point did not converge")
 
 
@@ -122,11 +122,10 @@ def compute_gamma(S: np.ndarray, Pmare: np.ndarray, graph: SensorGraph) -> np.nd
     return (2.0 / (graph.mu2 + graph.mu_max)) * (ones @ Pmare @ S) / (ones @ Pmare @ ones)
 
 
-def verify_gain(S: np.ndarray, Gamma: np.ndarray, graph: SensorGraph, raise_on_fail: bool = True):
+def verify_gain(S: np.ndarray, Gamma: np.ndarray, graph: SensorGraph):
     """Spectral radii of S - mu_j 1 Gamma for j = 2..m.
 
-    Raises GainInfeasibleError listing the offending modes unless
-    ``raise_on_fail`` is False.
+    Raises GainInfeasibleError listing the offending modes.
     """
     n = S.shape[0]
     ones = np.ones(n)
@@ -134,7 +133,7 @@ def verify_gain(S: np.ndarray, Gamma: np.ndarray, graph: SensorGraph, raise_on_f
         [numerics.spectral_radius(S - mu * np.outer(ones, Gamma)) for mu in graph.mu[1:]]
     )
     bad = np.where(radii >= 1.0 - numerics.UNIT_CIRCLE_TOL)[0]
-    if bad.size and raise_on_fail:
+    if bad.size:
         modes = ", ".join(f"j={j + 2} (rho={radii[j]:.6f})" for j in bad)
         raise GainInfeasibleError(f"coupling leaves unstable deviation modes: {modes}")
     return radii
@@ -201,14 +200,14 @@ def design_consensus(S: np.ndarray, graph: SensorGraph, zeta: float | None = Non
     P = np.zeros((n, n))
     iterations = 0
     if nu:
-        P[:nu, :nu], iterations = solve_mare(S[:nu, :nu], zeta, return_iterations=True)
+        P[:nu, :nu], iterations = solve_mare(S[:nu, :nu], zeta)
     # a single node never couples, and a stable S needs no coupling
     Gamma = np.zeros(n)
     radii = np.empty(0)
     if graph.m > 1:
         if nu:
             Gamma = compute_gamma(S, P, graph)
-        radii = verify_gain(S, Gamma, graph, raise_on_fail=True)
+        radii = verify_gain(S, Gamma, graph)
     return ConsensusDesign(
         zeta=float(zeta),
         Pmare=P,
@@ -225,10 +224,11 @@ class SyncStrategy(abc.ABC):
     gamma_ij(k) applied to the consensus coupling."""
 
     @abc.abstractmethod
-    def sample_gains(self, adjacency: np.ndarray, horizon: int, rounds: int, rng=None) -> np.ndarray:
+    def sample_gains(self, adjacency: np.ndarray, horizon: int, rounds: int, rng) -> np.ndarray:
         """Effective link weights a_ij * gamma_ij for every step and
         consensus round, shape (horizon, rounds, m, m), symmetric.
-        The result may be a read-only view."""
+        Random draws come from the Generator ``rng``, the trial's link
+        stream.  The result may be a read-only view."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,16 +249,13 @@ class BernoulliDropStrategy(SyncStrategy):
     """
 
     drop_prob: float
-    seed: int | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.drop_prob < 1.0):
             raise ValueError("drop_prob must lie in [0, 1)")
 
-    def sample_gains(self, adjacency, horizon, rounds, rng=None):
+    def sample_gains(self, adjacency, horizon, rounds, rng):
         adjacency = np.asarray(adjacency, dtype=float)
-        if rng is None:
-            rng = np.random.default_rng(self.seed)
         m = adjacency.shape[0]
         edges = [(i, j) for i in range(m) for j in range(i + 1, m) if adjacency[i, j] > 0]
         out = np.zeros((horizon, rounds, m, m))
@@ -274,5 +271,5 @@ def static_strategy() -> StaticStrategy:
     return StaticStrategy()
 
 
-def bernoulli_drop_strategy(drop_prob: float, seed: int | None = None) -> BernoulliDropStrategy:
-    return BernoulliDropStrategy(drop_prob=drop_prob, seed=seed)
+def bernoulli_drop_strategy(drop_prob: float) -> BernoulliDropStrategy:
+    return BernoulliDropStrategy(drop_prob=drop_prob)

@@ -35,10 +35,6 @@ class NotDetectableError(InfeasibleDesignError):
     pass
 
 
-class NotControllableError(InfeasibleDesignError):
-    pass
-
-
 class BadNoiseError(InfeasibleDesignError):
     pass
 
@@ -57,8 +53,6 @@ class InfeasibleZetaError(InfeasibleDesignError):
 
 class GainInfeasibleError(InfeasibleDesignError):
     pass
-
-
 
 
 class NumericalError(DistkfError):

@@ -1,5 +1,5 @@
 """Core numerical kernels: Riccati/Lyapunov solvers, spectral splitting,
-controllability, pole placement, and characteristic polynomials.
+observability tests and the Krylov matrix of a single-input pair.
 
 All routines operate on plain ``numpy.ndarray`` inputs and are pure
 functions, safe for concurrent use.  Conventions:
@@ -7,9 +7,7 @@ functions, safe for concurrent use.  Conventions:
 * the unit-circle classification threshold is ``1 - 1e-9``: an eigenvalue
   with modulus at or above it counts as unstable;
 * every rank decision goes through an SVD with relative tolerance
-  ``1e-10 * sigma_max``;
-* polynomial coefficient vectors are monic and in descending powers,
-  matching ``numpy.poly``.
+  ``1e-10 * sigma_max``.
 """
 
 from __future__ import annotations
@@ -20,12 +18,7 @@ import numpy as np
 from scipy import linalg
 from scipy.linalg import lapack
 
-from .errors import (
-    NoConvergenceError,
-    NotControllableError,
-    NotDetectableError,
-    UnstableMatrixError,
-)
+from .errors import NoConvergenceError, NotDetectableError, UnstableMatrixError
 
 UNIT_CIRCLE_TOL = 1e-9
 RANK_RTOL = 1e-10
@@ -40,17 +33,6 @@ def spectral_radius(X: np.ndarray) -> float:
     if X.size == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(X))))
-
-
-def svd_rank(M: np.ndarray) -> int:
-    """Numerical rank via SVD with relative tolerance ``RANK_RTOL``."""
-    M = np.atleast_2d(M)
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
 def unstable_eigvals(X: np.ndarray) -> np.ndarray:
@@ -78,22 +60,6 @@ def is_detectable(A: np.ndarray, C: np.ndarray) -> bool:
     """PBH test restricted to eigenvalues on or outside the unit circle."""
     ev = np.linalg.eigvals(A)
     return _pbh_ok(A, C, ev[np.abs(ev) >= 1.0 - UNIT_CIRCLE_TOL])
-
-
-def is_controllable_pair(X: np.ndarray, p: np.ndarray) -> bool:
-    """PBH controllability test of a single-input pair.
-
-    Rank decisions go through SVD; this stays reliable where the Krylov
-    matrix itself is too ill-conditioned to represent."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    p = np.asarray(p, dtype=float).reshape(-1, 1)
-    n = X.shape[0]
-    for lam in np.linalg.eigvals(X):
-        M = np.hstack([X - lam * np.eye(n), p])
-        s = np.linalg.svd(M, compute_uv=False)
-        if s[-1] <= RANK_RTOL * s[0]:
-            return False
-    return True
 
 
 def _dare_rhs(A, C, Q, R, Sigma):
@@ -324,113 +290,3 @@ def ctrb(X: np.ndarray, p: np.ndarray) -> np.ndarray:
         if j + 1 < n:
             col = X @ col
     return out
-
-
-def matrix_poly_eval(coeffs, S: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Evaluate ``sum_l coeffs[l] * S^l @ v`` by Horner recursion.
-
-    ``coeffs`` are in ascending powers; powers of S are never formed.
-    """
-    coeffs = np.asarray(coeffs, dtype=float).ravel()
-    S = np.atleast_2d(np.asarray(S, dtype=float))
-    v = np.asarray(v, dtype=float).ravel()
-    r = coeffs[-1] * v
-    for a in coeffs[-2::-1]:
-        r = S @ r + a * v
-    return r
-
-
-def matrix_poly(coeffs_desc, X: np.ndarray) -> np.ndarray:
-    """Matrix polynomial with monic-descending coefficients, by Horner."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    P = coeffs_desc[0] * np.eye(n)
-    for a in coeffs_desc[1:]:
-        P = P @ X + a * np.eye(n)
-    return P
-
-
-def char_poly(X: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial coefficients, descending powers.
-
-    Computed from the eigenvalues by convolving real linear and quadratic
-    factors, which keeps the coefficients real and avoids determinant
-    expansion.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    ev = np.linalg.eigvals(X)
-    ev = sorted(ev, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-    coeffs = np.array([1.0])
-    used = [False] * len(ev)
-    for i, lam in enumerate(ev):
-        if used[i]:
-            continue
-        if abs(lam.imag) <= 1e-10 * max(1.0, abs(lam)):
-            coeffs = np.convolve(coeffs, [1.0, -lam.real])
-            used[i] = True
-            continue
-        for j in range(i + 1, len(ev)):
-            if not used[j] and abs(ev[j] - lam.conjugate()) <= 1e-7 * max(1.0, abs(lam)):
-                used[i] = used[j] = True
-                coeffs = np.convolve(coeffs, [1.0, -2.0 * lam.real, abs(lam) ** 2])
-                break
-        else:
-            # conjugate pairing failed (should not happen for real X)
-            return np.real(np.poly(np.linalg.eigvals(X)))
-    return coeffs
-
-
-def polish_roots(coeffs_desc, roots, iters: int = 3) -> np.ndarray:
-    """A few Newton steps on each root of the given polynomial."""
-    p = np.asarray(coeffs_desc, dtype=complex)
-    dp = np.polyder(p)
-    r = np.asarray(roots, dtype=complex).copy()
-    for _ in range(iters):
-        d = np.polyval(dp, r)
-        step = np.where(np.abs(d) > 1e-300, np.polyval(p, r) / d, 0.0)
-        r = r - step
-    return r
-
-
-def companion(coeffs_desc) -> np.ndarray:
-    """Bottom-row companion matrix of a monic polynomial."""
-    c = np.asarray(coeffs_desc, dtype=float).ravel()
-    n = len(c) - 1
-    M = np.zeros((n, n))
-    if n > 1:
-        M[: n - 1, 1:] = np.eye(n - 1)
-    M[-1, :] = -c[:0:-1]
-    return M
-
-
-def _conjugate_closed(targets) -> bool:
-    t = np.asarray(targets, dtype=complex)
-    return bool(np.all(np.abs(np.imag(np.poly(t))) <= 1e-8 * (1.0 + np.abs(np.poly(t)).max())))
-
-
-def pole_place(X: np.ndarray, p: np.ndarray, targets) -> np.ndarray:
-    """Single-input pole placement by Ackermann's formula.
-
-    Returns beta such that ``X + p beta'`` has the target spectrum:
-    ``beta' = -e_n' R^{-1} phi_d(X)`` with R the Krylov controllability
-    matrix of (X, p) and phi_d the desired monic polynomial.
-
-    Raises:
-        NotControllableError: (X, p) fails the SVD rank test.
-        ValueError: targets are not closed under conjugation.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    p = np.asarray(p, dtype=float).ravel()
-    n = X.shape[0]
-    if len(list(targets)) != n:
-        raise ValueError(f"expected {n} target eigenvalues")
-    if not _conjugate_closed(targets):
-        raise ValueError("target spectrum must be closed under conjugation")
-    R = ctrb(X, p)
-    if svd_rank(R) < n:
-        raise NotControllableError("(X, p) is not controllable")
-    phi_d = np.real(np.poly(np.asarray(targets, dtype=complex)))
-    Phi = matrix_poly(phi_d, X)
-    e_n = np.zeros(n)
-    e_n[-1] = 1.0
-    return -np.linalg.solve(R.T, e_n) @ Phi

@@ -5,7 +5,7 @@ from __future__ import annotations
 from .consensus import design_consensus
 from .decomposition import build_bundle, reduce_model
 from .kalman import design_kalman, design_local_kf
-from .errors import NotDetectableError
+from .errors import DimensionMismatchError, NotDetectableError
 from .plant import SensorGraph, SystemModel, split_model
 from .simulator import DesignSet, resolve_variant
 
@@ -24,8 +24,6 @@ def design_pipeline(
     reduced-order bundle whenever the resolved variant is alg2.
     """
     if graph.m != model.m:
-        from .errors import DimensionMismatchError
-
         raise DimensionMismatchError(
             f"graph has {graph.m} nodes but the model has {model.m} sensors"
         )

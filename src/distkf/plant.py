@@ -111,7 +111,6 @@ class SplitModel:
 def _already_block_ordered(A, nu) -> bool:
     n = A.shape[0]
     if nu in (0, n):
-        off = A[:nu, nu:] if nu else A[nu:, :nu]
         # fully stable or fully unstable: identity basis always works
         return True
     if np.any(A[:nu, nu:] != 0.0) or np.any(A[nu:, :nu] != 0.0):

@@ -9,6 +9,7 @@ import pytest
 
 import distkf
 from distkf import numerics
+from distkf.decomposition import ModalBasis, _ones_basis, _residues
 from distkf.errors import InfeasibleConditionError
 
 from conftest import (
@@ -277,21 +278,33 @@ def test_criterion_9_numerics_property_suite():
         worst_dlyap = max(worst_dlyap, gap)
         assert gap <= 1e-6
 
+    # closed-form beta: S carries poles s (complex pairs, and real unstable
+    # poles repeated into Jordan chains), beta_c holds the residues for
+    # targets lam, and S - 1 beta' must have spectrum lam
     worst_pole = 0.0
-    done = 0
+    chains = complex_s = done = 0
     while done < 200:
         n = int(rng.integers(1, 7))
-        X = matrix_with_spectrum(rng, random_spectrum(rng, n))
-        p = rng.standard_normal(n)
-        if numerics.svd_rank(numerics.ctrb(X, p)) < n:
+        q = int(rng.integers(2, min(n, 3) + 1)) if n >= 2 and rng.random() < 0.3 else 0
+        a = rng.choice([-1.0, 1.0]) * rng.uniform(1.05, 1.25)
+        s = np.concatenate([np.full(q, a, dtype=complex), random_spectrum(rng, n - q)])
+        link = np.zeros(n, dtype=bool)
+        link[1:q] = True
+        lam = random_spectrum(rng, n, allow_unstable=False)
+        # the gaps the design keeps between distinct poles and targets
+        pts = np.concatenate([s[~link], lam])
+        gaps = np.abs(pts[:, None] - pts[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if gaps.min() < 1e-3:
             continue
-        targets = random_spectrum(rng, n)
-        beta = numerics.pole_place(X, p, targets)
-        got = sorted(np.linalg.eigvals(X + np.outer(p, beta)), key=lambda z: (z.real, z.imag))
-        want = sorted(targets, key=lambda z: (z.real, z.imag))
-        gap = max(abs(a - b) for a, b in zip(got, want)) / (1.0 + max(abs(t) for t in targets))
+        basis = ModalBasis(s, _residues(s, lam, link), _ones_basis(s), link)
+        got = np.linalg.eigvals(basis.S - np.outer(np.ones(n), basis.beta))
+        dist = np.abs(got[:, None] - lam[None, :])
+        gap = max(dist.min(axis=0).max(), dist.min(axis=1).max()) / (1.0 + np.abs(lam).max())
         worst_pole = max(worst_pole, gap)
         assert gap <= 1e-6
+        chains += q > 0
+        complex_s += bool(np.any(s.imag != 0))
         done += 1
 
     worst_split = 0.0
@@ -315,4 +328,5 @@ def test_criterion_9_numerics_property_suite():
 
     _report(9, "numerics property suite",
             f"200 instances each: DARE {worst_dare:.1e}, Lyapunov-vs-series {worst_dlyap:.1e}, "
-            f"pole round-trip {worst_pole:.1e}, split reconstruction {worst_split:.1e}")
+            f"modal beta round-trip {worst_pole:.1e} ({chains} with Jordan chains, "
+            f"{complex_s} with complex S), split reconstruction {worst_split:.1e}")

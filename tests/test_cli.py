@@ -224,8 +224,8 @@ class TestBadSimOptions:
 
 
 class TestBadDesignInputs:
-    """A defective closed loop and a stable-pole clash end with exit 4 and
-    exactly one error line on stderr."""
+    """A defective closed loop, a stable-pole clash and a repeated unstable
+    complex pair end with exit 4 and exactly one error line on stderr."""
 
     @pytest.mark.parametrize("overrides", [
         # Jordan block with near-blind sensors: A - KCA equals A to roundoff
@@ -243,6 +243,23 @@ class TestBadDesignInputs:
         assert proc.returncode == 4
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_repeated_complex_pair_exit_4(self, tmp_path):
+        # A = I_2 (x) 1.05 rot(0.7) repeats one unstable complex pair, which
+        # S cannot carry: PoleClashError
+        c, s = 1.05 * np.cos(0.7), 1.05 * np.sin(0.7)
+        A = np.kron(np.eye(2), [[c, -s], [s, c]])
+        # sim drops the default 2x2 initial_state_cov, which misfits n = 4
+        cfg = write_config(tmp_path / "c.json", system={
+            "A": A.tolist(), "C": np.eye(4).tolist(),
+            "Q": (0.25 * np.eye(4)).tolist(), "R": (4.0 * np.eye(4)).tolist(),
+        }, sim={"horizon": 10, "trials": 1, "seed": 9})
+        proc = TestBadSimOptions._run(["check", "--config", str(cfg)])
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "repeated complex pair" in lines[0]
+        assert "Traceback" not in proc.stderr + proc.stdout
 
     def test_design_json_writes_null_alpha_with_reason(self, example2_design):
         sc, designs = example2_design
