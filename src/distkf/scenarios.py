@@ -109,6 +109,13 @@ def parse_scenario(cfg: dict, name: str = "custom") -> Scenario:
         design = cfg.get("design", {})
         sim = cfg.get("sim", {})
         x0cov = sim.get("initial_state_cov")
+        if x0cov is not None:
+            x0cov = _matrix(x0cov, "sim.initial_state_cov")
+            if x0cov.shape != (model.n, model.n):
+                raise ConfigError(
+                    f"sim.initial_state_cov is {x0cov.shape[0]}x{x0cov.shape[1]}, "
+                    f"expected {model.n}x{model.n} for the plant order"
+                )
         horizon = int(sim.get("horizon", 100))
         lo = min(horizon, max(1, horizon // 2))
         return Scenario(
@@ -124,7 +131,7 @@ def parse_scenario(cfg: dict, name: str = "custom") -> Scenario:
             seed=int(sim.get("seed", 0)),
             rounds_per_sample=int(sim.get("rounds_per_sample", 1)),
             drop_prob=float(sim.get("drop_prob", 0.0)),
-            initial_state_cov=None if x0cov is None else _matrix(x0cov, "sim.initial_state_cov"),
+            initial_state_cov=x0cov,
             steady_window=(lo, horizon + 1),
         )
     except (AttributeError, TypeError, ValueError) as exc:

@@ -14,11 +14,13 @@ Batching: ``run_trial(..., seeds=...)`` runs several trials through the
 kernel at once, along a leading trial axis, and ``run_monte_carlo`` runs
 its trials in such batches.  Each trial still draws from its own streams,
 with the same draws in the same order as when it runs alone, so batching
-changes a trial's result only by roundoff.  A batch's size is capped by
-``_BATCH_BYTES``, a budget on the per-trial arrays that grow with the
-horizon: a batch holds several such arrays at once, so the cap bounds
-the peak memory Monte Carlo adds, while the per-step cost of the Python
-loop is shared by the whole batch.
+changes a trial's result only by roundoff.  Monte Carlo never keeps a
+batch's node estimates: ``run_trial(..., chunk=c)`` has the kernel sum
+the squared errors and deviations c steps at a time and returns the
+batch's ``MonteCarloResult``.  ``_BATCH_BYTES`` sets both sizes from one
+budget on a trial's working set in the kernel, so it bounds the memory
+Monte Carlo adds, while the per-step cost of the Python loop is shared by
+the whole batch.
 """
 
 from __future__ import annotations
@@ -218,8 +220,8 @@ def step_node_alg2(
 
 
 def run_trial(
-    model: SystemModel, designs: DesignSet, config: TrialConfig, *, seeds=None
-) -> SimulationTrace:
+    model: SystemModel, designs: DesignSet, config: TrialConfig, *, seeds=None, chunk=None
+) -> SimulationTrace | MonteCarloResult:
     """Simulate one seeded trial; returns the full trace.
 
     Node and filter states start at zero.  x(0) is zero unless
@@ -230,6 +232,10 @@ def run_trial(
     leading trial axis, and slice t equals the trial run alone with
     ``seeds[t]`` up to roundoff.  Each trial draws its noise and link
     weights from its own streams, in the same order as a single trial.
+
+    With ``chunk`` (steps of node estimates the kernel buffers) no trace
+    is kept: the result is the ``MonteCarloResult`` of the batch, the
+    mean squared errors and deviations over its trials.
     """
     n, m = model.n, model.m
     T = int(config.horizon)
@@ -251,7 +257,7 @@ def run_trial(
     x0 = np.zeros((len(batch), n))
     w = np.empty((len(batch), T, n))
     v = np.empty((len(batch), T + 1, m))
-    gains = []
+    gains = None
     for b, seed in enumerate(batch):
         noise_ss, link_ss = _seed_sequence(seed).spawn(2)
         noise_rng = _rng(noise_ss)
@@ -263,23 +269,30 @@ def run_trial(
             designs.graph.adjacency, T, config.rounds_per_sample, _rng(link_ss)
         )
         # links that never change are passed once, not once per step
-        gains.append(g[:1] if g.strides[0] == 0 else g)
+        g = g[:1] if g.strides[0] == 0 else g
+        if gains is None:
+            gains = np.empty((len(batch),) + g.shape)
+        gains[b] = g
     w = w @ Lq.T
     v = v @ Lr.T
-    gains = np.stack(gains)
 
     kd, bundle = designs.kalman, designs.bundle
     if variant == "alg1":
         out = _kernels.sim_alg1(
             model.A, model.C, kd.Acl, kd.K, bundle.S, bundle.beta, bundle.F,
-            designs.consensus.Gamma, gains, w, v[:, 0], v[:, 1:], x0, config.replace_own,
+            designs.consensus.Gamma, gains, w, v[:, 0], v[:, 1:], x0, config.replace_own, chunk,
         )
     else:
         Tb = np.stack([designs.reduced.T_blocks(i) for i in range(m)])
         out = _kernels.sim_alg2(
             model.A, model.C, kd.Acl, kd.K, bundle.S, bundle.beta, Tb,
-            designs.consensus.Gamma, gains, w, v[:, 0], v[:, 1:], x0,
+            designs.consensus.Gamma, gains, w, v[:, 0], v[:, 1:], x0, chunk,
         )
+    if chunk is not None:
+        sq_err, sq_dev = out
+        sq_err /= len(batch)
+        sq_dev /= len(batch)
+        return MonteCarloResult(mse=sq_err, dev_sq=sq_dev, trials=len(batch), variant=variant)
     x, y, xhat, xbreve = out[:4]
     if seeds is None:
         x, y, xhat, xbreve = x[0], y[0], xhat[0], xbreve[0]
@@ -306,15 +319,29 @@ class MonteCarloResult:
         return float(self.dev_sq[steps].sum(axis=(1, 2)).mean())
 
 
-# Byte budget of one Monte-Carlo batch, counted on the per-trial arrays
-# that grow with the horizon: the node estimates (T+1, m, n) and, for links
-# that change per step, the link weights (T, rounds, m, m).  A batch's
-# other arrays and temporaries are a small multiple of these, so the
-# budget bounds the peak memory Monte Carlo adds to the process.  On
-# example1 (T = 100, 40 trials a batch) the per-step cost is already
-# shared: doubling the budget gained no speed and more than doubled the
-# added memory.
-_BATCH_BYTES = 256 * 1024
+# Byte budget of one Monte-Carlo batch, counted on each trial's working
+# set in the kernel: the two buffers of its local filters and consensus
+# state, its noise and plant arrays (w, v, x, y, xhat), its link weights
+# when they change per step, and its share of the chunk, 16 m n bytes per
+# buffered step (the node estimates and their difference from x or xhat).
+# A chunk holds as many steps as fit in 1/64 of the budget for one trial,
+# at most the whole horizon; a batch then holds as many trials as fit.
+# On a 2-core Xeon with 2 MB of L2 per core, heat (example2) ran fastest
+# at 6 or 7 trials a batch, which 1.75 MiB gives it (chunks of 4 steps);
+# example1 gets 74 trials a batch over its whole horizon.
+_BATCH_BYTES = 7 * 256 * 1024
+
+
+def _batch_plan(model: SystemModel, config: TrialConfig, variant: str):
+    """Trials per batch and steps per chunk under ``_BATCH_BYTES``."""
+    T, m, n = int(config.horizon), model.m, model.n
+    r = m if variant == "alg1" else n
+    fixed = 2 * m * (r + 1) * n + T * n + (T + 1) * 2 * (n + m)
+    if not isinstance(config.strategy, StaticStrategy):
+        fixed += T * config.rounds_per_sample * m * m
+    step = 16 * m * n
+    chunk = min(T + 1, max(1, _BATCH_BYTES // (64 * step)))
+    return max(1, _BATCH_BYTES // (8 * fixed + chunk * step)), chunk
 
 
 def run_monte_carlo(
@@ -325,7 +352,8 @@ def run_monte_carlo(
     Trial t runs with seed entropy ``(master, t)``; trials are mutually
     independent and may be distributed across processes by partitioning
     the trial index range (aggregation is a plain mean).  Trials run in
-    batches of at most ``_BATCH_BYTES`` of per-trial arrays.
+    batches, and the kernel sums their squares in chunks of steps, both
+    sized by ``_BATCH_BYTES``.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -338,21 +366,18 @@ def run_monte_carlo(
         base = (int(master),)
     variant = resolve_variant(config.variant, model.n, model.m)
     T, m = int(config.horizon), model.m
-    per_trial = 8 * (T + 1) * m * model.n
-    if not isinstance(config.strategy, StaticStrategy):
-        per_trial += 8 * T * config.rounds_per_sample * m * m
-    size = max(1, _BATCH_BYTES // per_trial)
-    acc_mse = acc_dev = 0.0
+    size, chunk = _batch_plan(model, config, variant)
+    mse = np.zeros((T + 1, m, model.n))
+    dev_sq = np.zeros((T + 1, m, model.n))
     for start in range(0, trials, size):
         seeds = [base + (t,) for t in range(start, min(start + size, trials))]
-        trace = run_trial(model, designs, config, seeds=seeds)
-        e = trace.errors
-        acc_mse = acc_mse + np.einsum("b...,b...->...", e, e)
-        d = trace.deviations
-        acc_dev = acc_dev + np.einsum("b...,b...->...", d, d)
-    return MonteCarloResult(
-        mse=acc_mse / trials, dev_sq=acc_dev / trials, trials=trials, variant=variant
-    )
+        part = run_trial(model, designs, config, seeds=seeds, chunk=chunk)
+        mse += part.trials * part.mse
+        dev_sq += part.trials * part.dev_sq
+        del part  # free this batch's means before the next batch runs
+    mse /= trials
+    dev_sq /= trials
+    return MonteCarloResult(mse=mse, dev_sq=dev_sq, trials=trials, variant=variant)
 
 
 # --- CSV export -----------------------------------------------------------

@@ -223,6 +223,20 @@ class TestBadSimOptions:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+    def test_initial_state_cov_misfits_plant_order(self, tmp_path):
+        # a 3-state plant with the 2x2 covariance once died in run_trial
+        cfg = write_config(tmp_path / "c.json", system={
+            "A": np.diag([0.9, 1.1, 0.5]).tolist(), "C": np.eye(4, 3).tolist(),
+            "Q": (0.25 * np.eye(3)).tolist(), "R": (4.0 * np.eye(4)).tolist(),
+        })
+        proc = self._run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "initial_state_cov" in lines[0]
+        assert "Traceback" not in proc.stderr + proc.stdout
+
+
 class TestBadDesignInputs:
     """A defective closed loop, a stable-pole clash and a repeated unstable
     complex pair end with exit 4 and exactly one error line on stderr."""

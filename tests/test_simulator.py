@@ -9,7 +9,7 @@ from distkf import _kernels, simulator
 from distkf.decomposition import psd_factor
 from distkf.errors import ConfigError
 
-from conftest import heat_grid, trial_config
+from conftest import heat_grid, matrix_with_spectrum, trial_config
 from loop_kernels import sim_alg1_loops, sim_alg2_loops
 
 
@@ -166,6 +166,24 @@ _LOOP_CASES = {
 }
 
 
+# plant spectra whose S is not diagonal: an unstable complex pair gives
+# a real 2x2 block, a repeated real unstable pole a Jordan link
+_BLOCK_S_PLANTS = {
+    "pair": [1.15 * np.exp(0.7j), 1.15 * np.exp(-0.7j), 0.4],
+    "jordan": [1.1, 1.1, 0.5],
+}
+
+
+def _block_S_design(eigs):
+    """A 3-state plant with spectrum ``eigs`` watched by 4 sensors on a
+    complete graph, designed for both variants."""
+    rng = np.random.default_rng(0)
+    A = matrix_with_spectrum(rng, np.asarray(eigs, dtype=complex))
+    model = distkf.build_system(A, rng.standard_normal((4, 3)), 0.5 * np.eye(3), np.eye(4))
+    graph = distkf.build_graph(np.ones((4, 4)) - np.eye(4))
+    return model, distkf.design_pipeline(model, graph, variant="alg2")
+
+
 class TestKernelAgainstStepFunctions:
     def _step_network(self, sc, designs, cfg):
         """Network simulation through the public single-node step API, on
@@ -241,6 +259,34 @@ class TestKernelAgainstStepFunctions:
             assert_allclose(a, b, rtol=1e-10, atol=1e-10 * np.max(np.abs(b)))
         tr = distkf.run_trial(sc.model, designs, cfg)
         assert np.array_equal(tr.xbreve, got[3])
+
+    @pytest.mark.parametrize("variant", ["alg1", "alg2"])
+    @pytest.mark.parametrize("plant", list(_BLOCK_S_PLANTS), ids=list(_BLOCK_S_PLANTS))
+    def test_kernel_matches_loop_reference_on_block_S(self, plant, variant):
+        # example1's S is diagonal; here S has a 2x2 block or a Jordan
+        # link, and Gamma two nonzeros
+        model, designs = _block_S_design(_BLOCK_S_PLANTS[plant])
+        S = designs.bundle.S
+        assert np.count_nonzero(S - np.diag(np.diag(S))) == (2 if plant == "pair" else 1)
+        assert np.count_nonzero(designs.consensus.Gamma) == 2
+        replace_own = variant == "alg1"
+        cfgs = [distkf.TrialConfig(horizon=25, seed=(3, t), variant=variant,
+                                   replace_own=replace_own, rounds_per_sample=2,
+                                   initial_state_cov=np.eye(3)) for t in range(3)]
+        args = [_kernel_args(model, designs, cfg) for cfg in cfgs]
+        if variant == "alg1":
+            kernel, loops, flag = _kernels.sim_alg1, sim_alg1_loops, (True,)
+        else:
+            kernel, loops, flag = _kernels.sim_alg2, sim_alg2_loops, ()
+        wants = [loops(*a, replace_own, 2) for a in args]
+        # the model and design matrices are shared; noise and links stack
+        batched = kernel(*args[0][:8], *(np.stack(z) for z in zip(*(a[8:] for a in args))),
+                         *flag)
+        for t, (a, want) in enumerate(zip(args, wants)):
+            for one, many, ref in zip(kernel(*a, *flag), batched, want):
+                tol = dict(rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+                assert_allclose(one, ref, **tol)
+                assert_allclose(many[t], ref, **tol)
 
     def test_alg2_single_node_matches_alg1_fusion(self, example1):
         # with one node and no neighbors both variants reproduce the same
@@ -340,11 +386,15 @@ class TestBatchedTrials:
     def test_batched_monte_carlo_matches_trial_mean(self, example1, monkeypatch, case):
         sc, designs = example1
         cfg = trial_config(sc, horizon=20, seed=6, **_LOOP_CASES[case])
-        T, m, n = 20, 4, 2
-        per_trial = 8 * (T + 1) * m * n
-        if "drop" in case:
-            per_trial += 8 * T * cfg.rounds_per_sample * m * m
-        monkeypatch.setattr(simulator, "_BATCH_BYTES", 3 * per_trial)
+        T = 20
+        fixed, step = _trial_bytes(cfg, n=2, m=4)
+        # a chunk holds the steps that fit in 1/64 of the budget: take the
+        # shortest chunk that a budget of 3 trials with that chunk gives back
+        for chunk in range(1, T + 2):
+            budget = 3 * (fixed + chunk * step)
+            if min(T + 1, max(1, budget // (64 * step))) == chunk:
+                break
+        monkeypatch.setattr(simulator, "_BATCH_BYTES", budget)
         calls = []
         single = simulator.run_trial
 
@@ -359,6 +409,49 @@ class TestBatchedTrials:
         assert_allclose(res.mse, np.mean([tr.errors**2 for tr in traces], axis=0), rtol=1e-12)
         assert_allclose(res.dev_sq, np.mean([tr.deviations**2 for tr in traces], axis=0),
                         rtol=1e-12)
+
+    @pytest.mark.parametrize("horizon", [0, 1, 20])
+    @pytest.mark.parametrize("case", list(_LOOP_CASES), ids=list(_LOOP_CASES))
+    def test_chunked_sums_match_trial_mean(self, example1, monkeypatch, case, horizon):
+        # budgets that give chunks of 2 and 3 steps and of the whole
+        # horizon, each run as three batches, the last of one trial
+        sc, designs = example1
+        cfg = trial_config(sc, horizon=horizon, seed=12, **_LOOP_CASES[case])
+        step = _trial_bytes(cfg, n=2, m=4)[1]
+        single = simulator.run_trial
+        traces = []
+        for chunk in (2, 3, horizon + 1):
+            monkeypatch.setattr(simulator, "_BATCH_BYTES", 64 * step * chunk)
+            size, got = simulator._batch_plan(sc.model, cfg, cfg.variant)
+            assert got == min(chunk, horizon + 1)
+            calls = []
+
+            def counted(*args, **kwargs):
+                calls.append((len(kwargs["seeds"]), kwargs["chunk"]))
+                return single(*args, **kwargs)
+
+            monkeypatch.setattr(simulator, "run_trial", counted)
+            trials = 2 * size + 1
+            res = distkf.run_monte_carlo(sc.model, designs, cfg, trials)
+            assert calls == [(size, got), (size, got), (1, got)]
+            traces += [single(sc.model, designs, replace(cfg, seed=(12, t)))
+                       for t in range(len(traces), trials)]
+            assert_allclose(res.mse, np.mean([tr.errors**2 for tr in traces[:trials]], axis=0),
+                            rtol=1e-12)
+            assert_allclose(res.dev_sq,
+                            np.mean([tr.deviations**2 for tr in traces[:trials]], axis=0),
+                            rtol=1e-12)
+
+
+def _trial_bytes(cfg, n, m):
+    """A trial's fixed working set and the bytes of one buffered step, as
+    ``simulator._BATCH_BYTES`` counts them."""
+    T = cfg.horizon
+    r = m if cfg.variant == "alg1" else n
+    fixed = 8 * (2 * m * (r + 1) * n + T * n + (T + 1) * 2 * (n + m))
+    if not isinstance(cfg.strategy, distkf.StaticStrategy):
+        fixed += 8 * T * cfg.rounds_per_sample * m * m
+    return fixed, 16 * m * n
 
 
 class TestMonteCarlo:
