@@ -3,44 +3,110 @@ empirical comparison metrics.
 
 The stacked node deviations from the network average, the local-filter
 tracking errors, and the stable plant substate together form a stable
-linear system driven by the plant and measurement noise.  Solving one
-discrete Lyapunov equation for that augmented system and projecting
-through the read-out map yields the exact asymptotic covariance of the
-per-node deviations from the centralized Kalman estimate (Wbar); adding
-the Kalman error covariance on every node block gives the full error
-covariance (Wbreve).  The deviation dynamics differ between the two
-algorithm variants (inference blocks of size m*n versus the reduced
-n^2 state), so the augmented system is built per variant.
+linear system ``z+ = Ar z + Bw w + Bv v`` driven by the plant and
+measurement noise.  Its steady-state covariance W solves the Lyapunov
+equation ``W = Ar W Ar' + V``; projecting W through the read-out map
+yields the exact asymptotic covariance of the per-node deviations from
+the centralized Kalman estimate (Wbar), and adding the Kalman error
+covariance on every node block gives the full error covariance (Wbreve).
+
+That equation is never formed densely.  ``Ar = [[D, L Ec], [0, E]]`` is
+block upper-triangular:
+
+* D, on the deviation block of dimension d2, is block diagonal in n x n
+  *atoms* ``M_j = S - mu_j 1 Gamma'``, one per nonzero Laplacian mode j,
+  each repeated c times (c = m for alg1, whose inference blocks stack m
+  local filters; c = n for alg2, whose reduced state has n^2 entries);
+* ``E = [[I (x) Lambda, A_eps], [0, As]]`` holds the m tracking blocks
+  and the stable plant substate, of small dimension ``e = m n + ns``;
+* the coupling has rank m: mode j's rows of it are ``L_j Ec`` with
+  ``L_j = P diag(phi_j)``, where phi_j is the Laplacian eigenvector and P
+  the input of a node's residual into its consensus block.  The
+  deviation rows of the noise input factor through the same ``L_j``.
+
+The covariance blocks are solved in back-substitution order: ``W_ee`` by
+``numerics.solve_dlyap`` on E; then each atom's ``W_je`` (its As column
+block, then its Lambda column blocks), and last ``W_jl`` one atom pair
+j <= l at a time, from a right-hand side of rank 2m.  Every block is a
+Stein equation ``X - P X Q' = R`` with P and Q atoms, Lambda or As,
+solved by one LU of ``I - P (x) Q`` for all copies of the pair.  A pair
+is projected onto Wbar as soon as it is solved, so the d2 x d2 block is
+never stored.  Each block equation's residual is recorded as it is
+solved; the largest, relative to ``1 + ||X||``, is the report's
+certificate and must meet the ``1e-9`` contract of ``solve_dlyap``.
+
+The dense ``Ar``, ``Bw``, ``Bv`` and ``out_map`` remain available as
+views assembled on first read, as a reference for tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import linalg
 
 from . import numerics
 from .decomposition import DecompositionBundle, ReducedBundle
 from .consensus import ConsensusDesign
-from .errors import ConfigError, UnstableAugmentedError
+from .errors import ConfigError, NoConvergenceError, UnstableAugmentedError
 from .kalman import KalmanDesign
 from .plant import SensorGraph, SplitModel, SystemModel
+
+_RESIDUAL_CONTRACT = 1e-9  # largest relative residual a covariance block may keep
 
 
 @dataclass(frozen=True, eq=False)
 class AugmentedSystem:
-    Ar: np.ndarray        # block upper-triangular closed deviation dynamics
-    Bw: np.ndarray        # process-noise input (original coordinates)
-    Bv: np.ndarray        # measurement-noise input
-    out_map: np.ndarray   # augmented state -> stacked deviations (m*n rows)
+    """Factors of the augmented deviation system, in the layout above."""
+
+    atoms: np.ndarray     # (m-1, n, n) deviation atoms M_j = S - mu_j 1 Gamma'
+    copies: int           # c: how often each atom repeats along D
+    phi: np.ndarray       # (m, m-1) Laplacian eigenvectors orthogonal to 1
+    P: np.ndarray         # (c n, m) residual input of one mode's block: L_j = P diag(phi_j)
+    E: np.ndarray         # (e, e) tracking errors and stable substate
+    Ec: np.ndarray        # (m, e) coupling of E's state into the deviation rows
+    Cw: np.ndarray        # (m, n) process noise into the deviation rows (through L_j)
+    Bw_e: np.ndarray      # (e, n) process noise into E's state
+    Bv_e: np.ndarray      # (e, m) measurement noise into E's state
+    F: np.ndarray         # (n, c n) read-out m F of one mode's block
     variant: str
     block_dims: tuple     # (deviation block, tracking block, stable substate)
     spectral_radius: float  # of Ar, from its diagonal blocks
 
     @property
     def dim(self) -> int:
-        return self.Ar.shape[0]
+        return sum(self.block_dims)
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        """(d2, m) deviation-row input, the L_j stacked over modes."""
+        return (self.phi.T[:, None, :] * self.P).reshape(self.block_dims[0], self.P.shape[1])
+
+    @cached_property
+    def Ar(self) -> np.ndarray:
+        d2, blk = self.block_dims[0], self.P.shape[0]
+        Ar = np.zeros((self.dim, self.dim))
+        for j, M in enumerate(self.atoms):
+            Ar[j * blk : (j + 1) * blk, j * blk : (j + 1) * blk] = np.kron(np.eye(self.copies), M)
+        Ar[:d2, d2:] = self.L @ self.Ec
+        Ar[d2:, d2:] = self.E
+        return Ar
+
+    @cached_property
+    def Bw(self) -> np.ndarray:
+        return np.vstack([self.L @ self.Cw, self.Bw_e])
+
+    @cached_property
+    def Bv(self) -> np.ndarray:
+        return np.vstack([self.L, self.Bv_e])
+
+    @cached_property
+    def out_map(self) -> np.ndarray:
+        """Augmented state -> stacked deviations (m n rows)."""
+        out = np.zeros((self.F.shape[0] * self.phi.shape[0], self.dim))
+        out[:, : self.block_dims[0]] = np.kron(self.phi, self.F)
+        return out
 
 
 def _laplacian_eigenbasis(graph: SensorGraph):
@@ -64,89 +130,66 @@ def build_augmented(
     variant: str = "alg1",
     reduced: ReducedBundle | None = None,
 ) -> AugmentedSystem:
-    """Assemble the stable augmented deviation system for one variant.
+    """Factors of the stable augmented deviation system for one variant.
 
     Raises UnstableAugmentedError when the assembled dynamics are not
     strictly stable, which signals a broken or infeasible design.
     """
     n, m = model.n, model.m
-    nu, ns = split.nu, split.ns
-    S, beta, Lam = bundle.S, bundle.beta, bundle.Lambda
-    ones = np.ones(n)
+    ns = split.ns
+    S, Lam = bundle.S, bundle.Lambda
+    ones = np.ones((n, 1))
     mu, Phi = _laplacian_eigenbasis(graph)
-    Phi2 = Phi[:, 1:]
-    mus = mu[1:]
 
     if variant == "alg1":
-        blk = m * n
-        Smap = np.kron(np.eye(m), S)
-        BG = np.kron(np.eye(m), np.outer(ones, consensus.Gamma))
-        L_in = np.zeros((m * blk, m))
-        for i in range(m):
-            L_in[i * blk + i * n : i * blk + (i + 1) * n, i] = 1.0
-        out_gain = np.kron(np.eye(m), m * bundle.Fstack)
+        copies = m
+        P = np.kron(np.eye(m), ones)   # node i's residual enters its copy i
+        F = m * bundle.Fstack
     elif variant == "alg2":
         if reduced is None:
             raise ConfigError("variant alg2 requires the reduced-order bundle")
-        blk = n * n
-        Smap = np.kron(np.eye(n), S)
-        BG = np.kron(np.eye(n), np.outer(ones, consensus.Gamma))
-        L_in = np.zeros((m * blk, m))
-        for i in range(m):
-            L_in[i * blk : (i + 1) * blk, i] = reduced.T[:, i]
-        out_gain = np.kron(np.eye(m), m * reduced.H)
+        copies = n
+        P = reduced.T
+        F = m * reduced.H
     else:
         raise ConfigError(f"unknown variant {variant!r}")
-
-    d2 = (m - 1) * blk
-    A_d2 = linalg.block_diag(*[Smap - mu_j * BG for mu_j in mus]) if d2 else np.zeros((0, 0))
-    L_td = np.kron(Phi2.T, np.eye(blk)) @ L_in  # deviation-mode noise input
+    atoms = S - mu[1:, None, None] * (ones * consensus.Gamma)
 
     Cbar = model.C @ split.V
-    W_eps = np.vstack([bundle.G[i] - np.outer(ones, Cbar[i]) for i in range(m)])
-    V_eps = -np.kron(np.eye(m), ones.reshape(-1, 1))
+    W_eps = np.vstack([bundle.G[i] - ones * Cbar[i] for i in range(m)])
+    V_eps = -np.kron(np.eye(m), ones)
     CsAs = split.Cis @ split.As
-    A_eps = V_eps @ CsAs
-
-    dim = d2 + m * n + ns
-    Ar = np.zeros((dim, dim))
-    Ar[:d2, :d2] = A_d2
-    Ar[:d2, d2 : d2 + m * n] = L_td @ np.kron(np.eye(m), beta.reshape(1, -1))
-    Ar[:d2, d2 + m * n :] = L_td @ CsAs
-    Ar[d2 : d2 + m * n, d2 : d2 + m * n] = np.kron(np.eye(m), Lam)
-    Ar[d2 : d2 + m * n, d2 + m * n :] = A_eps
-    Ar[d2 + m * n :, d2 + m * n :] = split.As
-
-    # noise inputs, mapped back to original process-noise coordinates
-    Bw_split = np.vstack([L_td @ Cbar, W_eps, split.J])
-    Bw = Bw_split @ split.Vinv
-    Bv = np.vstack([L_td, V_eps, np.zeros((ns, m))])
-
-    out_map = np.zeros((m * n, dim))
-    if d2:
-        out_map[:, :d2] = out_gain @ np.kron(Phi2, np.eye(blk))
+    mn = m * n
+    E = np.zeros((mn + ns, mn + ns))
+    E[:mn, :mn] = np.kron(np.eye(m), Lam)
+    E[:mn, mn:] = V_eps @ CsAs
+    E[mn:, mn:] = split.As
+    Ec = np.hstack([np.kron(np.eye(m), bundle.beta.reshape(1, -1)), CsAs])
 
     # Ar is block upper-triangular, so its spectrum is the union of the
-    # deviation modes S - mu_j 1 Gamma' (j >= 2), Lambda and As
-    modes = [S - mu_j * np.outer(ones, consensus.Gamma) for mu_j in mus]
-    rho = max(numerics.spectral_radius(X) for X in [*modes, Lam, split.As])
+    # atoms' spectra, Lambda's and As'
+    rho = max(numerics.spectral_radius(X) for X in [*atoms, Lam, split.As])
     if rho >= 1.0 - numerics.UNIT_CIRCLE_TOL:
         raise UnstableAugmentedError(
             f"augmented deviation system has spectral radius {rho:.6f}"
         )
     return AugmentedSystem(
-        Ar=Ar, Bw=Bw, Bv=Bv, out_map=out_map, variant=variant,
-        block_dims=(d2, m * n, ns), spectral_radius=rho,
+        atoms=atoms, copies=copies, phi=Phi[:, 1:], P=P, E=E, Ec=Ec,
+        Cw=Cbar @ split.Vinv,
+        Bw_e=np.vstack([W_eps, split.J]) @ split.Vinv,
+        Bv_e=np.vstack([V_eps, np.zeros((ns, m))]),
+        F=F, variant=variant,
+        block_dims=((m - 1) * copies * n, mn, ns), spectral_radius=rho,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class CovarianceReport:
-    Wr: np.ndarray            # augmented steady-state covariance
     Wbar: np.ndarray          # (mn, mn) covariance of deviations from the Kalman estimate
     Wbreve: np.ndarray        # (mn, mn) full error covariance
     per_node_trace: np.ndarray  # trace of each node's diagonal block of Wbreve
     variant: str
+    residual: float           # largest relative residual of the block equations
 
     def node_block(self, i: int) -> np.ndarray:
         m = self.per_node_trace.shape[0]
@@ -154,23 +197,88 @@ class CovarianceReport:
         return self.Wbreve[i * n : (i + 1) * n, i * n : (i + 1) * n]
 
 
+def _stein(P: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """``X - P X Q' = R`` for every matrix of the stack R (..., p, q).
+
+    One LU of ``I - P (x) Q``, the map of ``X -> P X Q'`` on row-major
+    vec(X), serves all of them."""
+    p, q = R.shape[-2:]
+    K = -(P[:, None, :, None] * Q[None, :, None, :]).reshape(p * q, p * q)
+    K.flat[:: p * q + 1] += 1.0
+    rhs = R.reshape(-1, p * q).T if p * q else R.reshape(0, 0)
+    return np.linalg.solve(K, rhs).T.reshape(R.shape)
+
+
+def _relres(res: np.ndarray, X: np.ndarray) -> float:
+    return float(np.linalg.norm(res) / (1.0 + np.linalg.norm(X)))
+
+
 def asymptotic_covariance(
     aug: AugmentedSystem, model: SystemModel, Ppost: np.ndarray
 ) -> CovarianceReport:
-    """Exact steady-state covariance via one Lyapunov solve.
+    """Exact steady-state covariance, solved block by block.
 
-    Wbreve = Wbar + (11') (x) Ppost, where the second term is the
-    centralized Kalman error shared by every node.
+    Back-substitution order (see the module docstring): ``W_ee`` on E;
+    each atom j's ``W_je``, its As column block first, then its Lambda
+    column blocks; then ``W_jl`` for every atom pair j <= l, each
+    projected onto Wbar at once.  ``Wbreve = Wbar + (11') (x) Ppost``,
+    where the second term is the centralized Kalman error shared by every
+    node.
+
+    Raises:
+        NoConvergenceError: a block equation's residual exceeds
+            ``1e-9 (1 + ||X||)``; the largest such ratio is the report's
+            ``residual``.
     """
     n, m = model.n, model.m
-    V = aug.Bw @ model.Q @ aug.Bw.T + aug.Bv @ model.R @ aug.Bv.T
-    Wr = numerics.solve_dlyap(aug.Ar, 0.5 * (V + V.T)) if aug.dim else np.zeros((0, 0))
-    Wbar = aug.out_map @ Wr @ aug.out_map.T
+    mn, c = m * n, aug.copies
+    Q, R = model.Q, model.R
+    E, Ec = aug.E, aug.Ec
+    V_ee = aug.Bw_e @ Q @ aug.Bw_e.T + aug.Bv_e @ R @ aug.Bv_e.T
+    V_ee = 0.5 * (V_ee + V_ee.T)
+    W_ee = numerics.solve_dlyap(E, V_ee)
+    residual = _relres(W_ee - E @ W_ee @ E.T - V_ee, W_ee)
+
+    # mode j's W_je solves X - D_j X E' = L_j G; the right-hand side of
+    # W_jl is L_j H L_l' plus the terms that run through W_je and W_le
+    G = Ec @ W_ee @ E.T + aug.Cw @ Q @ aug.Bw_e.T + R @ aug.Bv_e.T
+    H = Ec @ W_ee @ Ec.T + aug.Cw @ Q @ aug.Cw.T + R
+    H = 0.5 * (H + H.T)
+    Lam, A_eps, As = E[:n, :n], E[:mn, mn:], E[mn:, mn:]
+    left, right = [], []
+    for j, M in enumerate(aug.atoms):
+        Lj = aug.P * aug.phi[:, j]
+        rhs = (Lj @ G).reshape(c, n, -1)
+        X = np.empty_like(rhs)
+        X[..., mn:] = _stein(M, As, rhs[..., mn:])
+        # the Lambda column blocks: one n x n block per copy and node
+        blocks = (rhs[..., :mn] + M @ X[..., mn:] @ A_eps.T).reshape(c, n, m, n).swapaxes(1, 2)
+        X[..., :mn] = _stein(M, Lam, blocks).swapaxes(1, 2).reshape(c, n, mn)
+        residual = max(residual, _relres(X - M @ X @ E.T - rhs, X))
+        Yj = (M @ X @ Ec.T).reshape(c * n, m)
+        left.append(np.hstack([Yj, Lj]))
+        right.append(np.hstack([Lj, Yj + Lj @ H]))
+
+    k = len(aug.atoms)
+    Z = np.zeros((k, k, n, n))  # F W_jl F' per atom pair
+    for j in range(k):
+        for l in range(j, k):
+            Mj, Ml = aug.atoms[j], aug.atoms[l]
+            rhs = (left[j] @ right[l].T).reshape(c, n, c, n).swapaxes(1, 2)
+            X = _stein(Mj, Ml, rhs)
+            residual = max(residual, _relres(X - Mj @ X @ Ml.T - rhs, X))
+            Z[j, l] = aug.F @ X.swapaxes(1, 2).reshape(c * n, c * n) @ aug.F.T
+            Z[l, j] = Z[j, l].T
+    if residual > _RESIDUAL_CONTRACT:
+        raise NoConvergenceError(f"covariance block residual {residual:.3e} out of contract")
+
+    Wbar = np.einsum("ij,kl,jlab->iakb", aug.phi, aug.phi, Z).reshape(mn, mn)
     Wbar = 0.5 * (Wbar + Wbar.T)
     Wbreve = Wbar + np.kron(np.ones((m, m)), Ppost)
-    traces = np.array([np.trace(Wbreve[i * n : (i + 1) * n, i * n : (i + 1) * n]) for i in range(m)])
+    traces = np.einsum("iaia->i", Wbreve.reshape(m, n, m, n))
     return CovarianceReport(
-        Wr=Wr, Wbar=Wbar, Wbreve=Wbreve, per_node_trace=traces, variant=aug.variant
+        Wbar=Wbar, Wbreve=Wbreve, per_node_trace=traces, variant=aug.variant,
+        residual=residual,
     )
 
 
@@ -230,4 +338,5 @@ def report_to_dict(report: CovarianceReport) -> dict:
             for i in range(m)
         ],
         "tr_wbar": float(np.trace(report.Wbar)),
+        "residual": report.residual,
     }

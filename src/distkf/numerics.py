@@ -146,6 +146,11 @@ def solve_dlyap(F: np.ndarray, V: np.ndarray) -> np.ndarray:
     ``dtrsyl`` at leaves of at most ``_LYAP_LEAF`` rows and matrix
     products everywhere else.
 
+    Callers: ``analysis.asymptotic_covariance`` on the small tracking and
+    stable-substate block E of the augmented system (the deviation blocks
+    are solved atom by atom there), and acceptance criterion 9, which
+    checks this solver against a truncated series on random plants.
+
     Raises:
         UnstableMatrixError: spectral radius of F is >= 1 - 1e-9.
         NoConvergenceError: ``dtrsyl`` had to rescale or rejected its

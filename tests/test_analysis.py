@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import linalg
 
 import distkf
-from distkf import numerics
-from distkf.errors import InfeasibleDesignError, UnstableAugmentedError
+from distkf import analysis, numerics
+from distkf.errors import InfeasibleDesignError, NoConvergenceError, UnstableAugmentedError
 
-from conftest import random_connected_graph, random_observable_model, trial_config
+from conftest import heat_grid, random_connected_graph, random_observable_model, trial_config
 
 
 def build_report(sc, designs, variant):
@@ -15,6 +16,40 @@ def build_report(sc, designs, variant):
         designs.consensus, designs.graph, variant=variant, reduced=designs.reduced,
     )
     return aug, distkf.asymptotic_covariance(aug, sc.model, designs.kalman.Ppost)
+
+
+@pytest.fixture(scope="module")
+def random_plants():
+    """30 seeded random plants (complex pairs, Jordan chains) with their
+    alg2-capable designs."""
+    rng = np.random.default_rng(31)
+    plants = []
+    while len(plants) < 30:
+        model = random_observable_model(rng)
+        graph = random_connected_graph(rng, model.m)
+        try:
+            plants.append((model, distkf.design_pipeline(model, graph, variant="alg2")))
+        except InfeasibleDesignError:
+            continue
+    return plants
+
+
+def augment(model, designs, variant):
+    return distkf.build_augmented(
+        model, designs.split, designs.kalman, designs.bundle,
+        designs.consensus, designs.graph, variant=variant, reduced=designs.reduced,
+    )
+
+
+def dense_wbar(aug, model, solve):
+    """Wbar from one dense Lyapunov solve on the assembled Ar."""
+    V = aug.Bw @ model.Q @ aug.Bw.T + aug.Bv @ model.R @ aug.Bv.T
+    W = solve(aug.Ar, 0.5 * (V + V.T))
+    return aug.out_map @ W @ aug.out_map.T
+
+
+def relative_gap(Wbar, ref):
+    return np.linalg.norm(Wbar - ref) / np.linalg.norm(ref)
 
 
 class TestBuildAugmented:
@@ -43,24 +78,11 @@ class TestBuildAugmented:
             aug, _ = build_report(sc, designs, variant)
             assert abs(aug.spectral_radius - numerics.spectral_radius(aug.Ar)) <= 1e-10
 
-    def test_blockwise_radius_random_plants(self):
-        rng = np.random.default_rng(31)
-        done = 0
-        while done < 30:
-            model = random_observable_model(rng)
-            graph = random_connected_graph(rng, model.m)
-            try:
-                designs = distkf.design_pipeline(model, graph, variant="alg2")
-            except InfeasibleDesignError:
-                continue
+    def test_blockwise_radius_random_plants(self, random_plants):
+        for model, designs in random_plants:
             for variant in ("alg1", "alg2"):
-                aug = distkf.build_augmented(
-                    model, designs.split, designs.kalman, designs.bundle,
-                    designs.consensus, designs.graph, variant=variant,
-                    reduced=designs.reduced,
-                )
+                aug = augment(model, designs, variant)
                 assert abs(aug.spectral_radius - numerics.spectral_radius(aug.Ar)) <= 1e-10
-            done += 1
 
     def test_broken_design_detected(self, example1):
         sc, designs = example1
@@ -88,6 +110,9 @@ class TestBuildAugmented:
         )
         assert designs.split.ns == 0
         assert aug.block_dims == (12, 6, 0)
+        rep = distkf.asymptotic_covariance(aug, model, designs.kalman.Ppost)
+        ref = dense_wbar(aug, model, linalg.solve_discrete_lyapunov)
+        assert relative_gap(rep.Wbar, ref) <= 1e-10
 
     def test_single_node_network(self):
         model = distkf.build_system([[0.7]], [[1.0]], [[0.3]], [[1.0]])
@@ -100,6 +125,7 @@ class TestBuildAugmented:
         rep = distkf.asymptotic_covariance(aug, model, designs.kalman.Ppost)
         # no deviation subspace: the node is the centralized filter
         assert_allclose(rep.Wbar, 0.0, atol=1e-12)
+        assert_allclose(rep.Wbar, dense_wbar(aug, model, linalg.solve_discrete_lyapunov), atol=1e-15)
         assert_allclose(rep.Wbreve, designs.kalman.Ppost, atol=1e-12)
         ratios = distkf.performance_ratios(
             [rep.node_block(0)], [designs.kalman], designs.kalman.Ppost
@@ -114,8 +140,9 @@ class TestAsymptoticCovariance:
         silent = distkf.SystemModel(A=sc.model.A, C=sc.model.C,
                                     Q=np.zeros((2, 2)), R=np.zeros((4, 4)))
         rep = distkf.asymptotic_covariance(aug, silent, np.zeros((2, 2)))
-        assert_allclose(rep.Wr, 0.0, atol=1e-12)
+        assert_allclose(rep.Wbar, 0.0, atol=1e-12)
         assert_allclose(rep.Wbreve, 0.0, atol=1e-12)
+        assert rep.residual == 0.0
 
     def test_matches_monte_carlo_both_variants(self, example1):
         sc, designs = example1
@@ -158,6 +185,68 @@ class TestAsymptoticCovariance:
         for i in range(4):
             blk_bar = rep.Wbar[i * 2 : (i + 1) * 2, i * 2 : (i + 1) * 2]
             assert_allclose(rep.node_block(i), blk_bar + designs.kalman.Ppost, rtol=1e-12)
+
+
+class TestExactOracle:
+    """The block-by-block solve against one dense Lyapunov solve on the
+    assembled augmented system, projected through the read-out map."""
+
+    def test_example1_matches_scipy(self, example1):
+        sc, designs = example1
+        for variant in ("alg1", "alg2"):
+            aug, rep = build_report(sc, designs, variant)
+            ref = dense_wbar(aug, sc.model, linalg.solve_discrete_lyapunov)
+            assert relative_gap(rep.Wbar, ref) <= 1e-10
+
+    def test_heat_grid_matches_scipy(self):
+        model, graph = heat_grid(2, N=3, m=4)
+        designs = distkf.design_pipeline(model, graph)
+        aug = augment(model, designs, "alg1")
+        rep = distkf.asymptotic_covariance(aug, model, designs.kalman.Ppost)
+        assert aug.block_dims == (108, 36, 8)
+        ref = dense_wbar(aug, model, linalg.solve_discrete_lyapunov)
+        assert relative_gap(rep.Wbar, ref) <= 1e-10
+
+    def test_random_plants_match_dense_solve(self, random_plants):
+        # some of these Stein operators are ill-conditioned enough that two
+        # correct direct solvers differ well above roundoff (1.7e-6 at worst)
+        for model, designs in random_plants:
+            for variant in ("alg1", "alg2"):
+                aug = augment(model, designs, variant)
+                rep = distkf.asymptotic_covariance(aug, model, designs.kalman.Ppost)
+                ref = dense_wbar(aug, model, numerics.solve_dlyap)
+                if model.m == 1:
+                    assert_allclose(rep.Wbar, ref, atol=1e-15)
+                else:
+                    assert relative_gap(rep.Wbar, ref) <= 1e-5
+
+
+class TestCertificate:
+    def test_example1_below_budget(self, example1):
+        sc, designs = example1
+        for variant in ("alg1", "alg2"):
+            _, rep = build_report(sc, designs, variant)
+            assert 0.0 < rep.residual <= 1e-12
+            assert analysis.report_to_dict(rep)["residual"] == rep.residual
+
+    @pytest.mark.parametrize("block", ["pair", "coupling"])
+    def test_corrupted_block_is_flagged(self, example1, monkeypatch, block):
+        # perturb the solution of one W_jl atom pair, or of the Lambda
+        # column blocks of one W_je, as it leaves the Stein solver
+        sc, designs = example1
+        aug, _ = build_report(sc, designs, "alg1")
+        target = aug.atoms[-1] if block == "pair" else designs.bundle.Lambda
+        solve = analysis._stein
+
+        def corrupted(P, Q, R):
+            X = solve(P, Q, R)
+            if np.array_equal(P, aug.atoms[0]) and np.array_equal(Q, target):
+                X.flat[0] += 1e-6
+            return X
+
+        monkeypatch.setattr(analysis, "_stein", corrupted)
+        with pytest.raises(NoConvergenceError):
+            distkf.asymptotic_covariance(aug, sc.model, designs.kalman.Ppost)
 
 
 class TestOrthogonality:

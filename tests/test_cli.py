@@ -124,6 +124,7 @@ class TestSimulateCommand:
         assert cov["variant"] == "alg2"
         assert cov["analytic"] is not None
         assert len(cov["analytic"]["per_node_trace"]) == 4
+        assert 0.0 < cov["analytic"]["residual"] <= 1e-12
 
     def test_trials_override(self, tmp_path):
         cfg = write_config(tmp_path / "c.json")
