@@ -53,8 +53,10 @@ def design_kalman(model: SystemModel) -> KalmanDesign:
     design = _design(model.A, model.C, model.Q, model.R)
     rho = numerics.spectral_radius(design.Acl)
     if rho >= 1.0:
-        # detectability guarantees this cannot trigger; guard anyway
-        raise NotDetectableError(f"closed-loop spectral radius {rho:.6f} >= 1")
+        # detectable (A, C) still has no stabilising filter when a mode on
+        # the unit circle is not driven by Q (A = 1, Q = 0)
+        raise NotDetectableError(f"closed-loop spectral radius {rho:.6f} >= 1: a unit-circle "
+                                 "mode is not driven by Q, so no stabilising filter exists")
     return design
 
 

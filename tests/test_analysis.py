@@ -229,22 +229,33 @@ class TestCertificate:
             assert 0.0 < rep.residual <= 1e-12
             assert analysis.report_to_dict(rep)["residual"] == rep.residual
 
-    @pytest.mark.parametrize("block", ["pair", "coupling"])
+    @pytest.mark.parametrize("block", ["pair", "coupling", "ee"])
     def test_corrupted_block_is_flagged(self, example1, monkeypatch, block):
-        # perturb the solution of one W_jl atom pair, or of the Lambda
-        # column blocks of one W_je, as it leaves the Stein solver
+        # perturb the solution of one W_jl atom pair or of the Lambda column
+        # blocks of one W_je as it leaves the Stein solver, or W_ee as it
+        # leaves solve_dlyap
         sc, designs = example1
         aug, _ = build_report(sc, designs, "alg1")
-        target = aug.atoms[-1] if block == "pair" else designs.bundle.Lambda
-        solve = analysis._stein
+        if block == "ee":
+            dlyap = numerics.solve_dlyap
 
-        def corrupted(P, Q, R):
-            X = solve(P, Q, R)
-            if np.array_equal(P, aug.atoms[0]) and np.array_equal(Q, target):
-                X.flat[0] += 1e-6
-            return X
+            def corrupted_dlyap(F, V):
+                W = dlyap(F, V)
+                W.flat[0] += 1e-6
+                return W
 
-        monkeypatch.setattr(analysis, "_stein", corrupted)
+            monkeypatch.setattr(analysis.numerics, "solve_dlyap", corrupted_dlyap)
+        else:
+            target = aug.atoms[-1] if block == "pair" else designs.bundle.Lambda
+            solve = analysis._stein
+
+            def corrupted(P, Q, R):
+                X = solve(P, Q, R)
+                if np.array_equal(P, aug.atoms[0]) and np.array_equal(Q, target):
+                    X.flat[0] += 1e-6
+                return X
+
+            monkeypatch.setattr(analysis, "_stein", corrupted)
         with pytest.raises(NoConvergenceError):
             distkf.asymptotic_covariance(aug, sc.model, designs.kalman.Ppost)
 

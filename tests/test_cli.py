@@ -240,7 +240,8 @@ class TestBadSimOptions:
 
 class TestBadDesignInputs:
     """A defective closed loop, a stable-pole clash and a repeated unstable
-    complex pair end with exit 4 and exactly one error line on stderr."""
+    complex pair end with exit 4, and a plant with no stabilising Kalman
+    filter with exit 3, each with exactly one error line on stderr."""
 
     @pytest.mark.parametrize("overrides", [
         # Jordan block with near-blind sensors: A - KCA equals A to roundoff
@@ -274,6 +275,22 @@ class TestBadDesignInputs:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "repeated complex pair" in lines[0]
+        assert "Traceback" not in proc.stderr + proc.stdout
+
+    def test_undriven_unit_circle_mode_exit_3(self, tmp_path):
+        # (A, C) passes PBH, but Q = 0 leaves the random-walk mode A = 1
+        # undriven, so the Riccati solution cannot stabilise the filter
+        cfg = write_config(tmp_path / "c.json", system={
+            "A": [[1.0]], "C": [[1.0], [1.0]], "Q": [[0.0]], "R": np.eye(2).tolist(),
+        }, graph={"kind": "ring", "m": 2, "weight": 1.0}, design={},
+            sim={"horizon": 10, "trials": 1, "seed": 9})
+        proc = TestBadSimOptions._run(
+            ["design", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "not driven by Q" in lines[0]
         assert "Traceback" not in proc.stderr + proc.stdout
 
     def test_design_json_writes_null_alpha_with_reason(self, example2_design):

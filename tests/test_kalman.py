@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import linalg
 
 import distkf
 from distkf import numerics
@@ -31,6 +32,16 @@ class TestDesignKalman:
     def test_ring_example_stable_loop(self, example1):
         _, designs = example1
         assert numerics.spectral_radius(designs.kalman.Acl) < 1.0
+
+    def test_unstable_mode_not_driven_by_q(self):
+        # Q = 0 leaves the unstable mode 1.2 unexcited, so S = 0 also solves
+        # the Riccati equation; only the stabilising root is correct
+        model = distkf.build_system([[1.2]], [[1.0], [1.0]], [[0.0]], np.eye(2))
+        d = distkf.design_kalman(model)
+        ref = linalg.solve_discrete_are(model.A.T, model.C.T, model.Q, model.R)
+        assert_allclose(d.Sigma, ref, rtol=1e-12)
+        assert d.Sigma[0, 0] > 0.0
+        assert_allclose(numerics.spectral_radius(d.Acl), 1 / 1.2, rtol=1e-12)
 
     def test_gain_and_posterior_identities(self):
         rng = np.random.default_rng(31)

@@ -89,9 +89,10 @@ class TestSolveDlyap:
             assert_allclose(W, acc, atol=1e-6 * (1 + np.linalg.norm(W)))
 
 
-class TestBlockedDlyap:
-    """The recursive solver against scipy's dense solver (kept here only as
-    the reference) at sizes above the 64-row leaf."""
+class TestDlyapAgainstScipy:
+    """The doubling solver against scipy's Schur-based solver (kept here
+    only as the reference) on larger, complex-spectrum and near-boundary
+    inputs."""
 
     RTOL = 1e-10
 
@@ -99,7 +100,7 @@ class TestBlockedDlyap:
     def _check(F, V):
         W = numerics.solve_dlyap(F, V)
         ref = linalg.solve_discrete_lyapunov(F, V)
-        assert np.linalg.norm(W - ref) <= TestBlockedDlyap.RTOL * np.linalg.norm(ref)
+        assert np.linalg.norm(W - ref) <= TestDlyapAgainstScipy.RTOL * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n, seed", [(65, 1), (129, 2), (250, 3)])
     def test_matches_scipy(self, n, seed):
@@ -111,8 +112,8 @@ class TestBlockedDlyap:
         self._check(F, B @ B.T)
 
     def test_midpoint_on_complex_pair(self):
-        # F is already in real Schur form, with a 2x2 block on rows 63-64,
-        # so halving 129 rows at 64 would cut it
+        # F is already in real Schur form, with a 2x2 block straddling
+        # rows 63-64
         rng = np.random.default_rng(4)
         sizes = [2] * 31 + [1, 2] + [2] * 32
         F = np.triu(0.3 * rng.standard_normal((129, 129)), 1)
@@ -131,7 +132,23 @@ class TestBlockedDlyap:
         B = rng.standard_normal((129, 129))
         self._check(F, B @ B.T)
 
-    def test_unit_modulus_pair_rejected_above_leaf(self):
+    def test_near_boundary_non_normal(self):
+        # spectral radius 0.999 on a Jordan-like 3-block coupled to a
+        # stable remainder: the stop rule needs 15 doublings here
+        rng = np.random.default_rng(0)
+        n = 40
+        J = 0.999 * np.eye(3) + 0.003 * np.eye(3, k=1)
+        rest = linalg.schur(matrix_with_spectrum(
+            rng, random_spectrum(rng, n - 3, allow_unstable=False)), output="real")[0]
+        T = linalg.block_diag(J, rest)
+        T[:3, 3:] = 0.3 * rng.standard_normal((3, n - 3))
+        Z, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        F = Z @ T @ Z.T
+        assert abs(numerics.spectral_radius(F) - 0.999) < 1e-4
+        B = rng.standard_normal((n, n))
+        self._check(F, B @ B.T)
+
+    def test_unit_modulus_pair_rejected(self):
         rng = np.random.default_rng(5)
         eigs = np.concatenate([random_spectrum(rng, 78, allow_unstable=False),
                                np.exp([0.7j, -0.7j])])
