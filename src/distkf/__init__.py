@@ -58,7 +58,6 @@ from .errors import (
     NumericalError,
     PoleClashError,
     UnstableAugmentedError,
-    UnstableMatrixError,
 )
 from .kalman import KalmanDesign, design_kalman, design_local_kf, step_centralized
 from .pipeline import design_pipeline, local_baselines

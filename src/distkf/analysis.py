@@ -24,16 +24,18 @@ block upper-triangular:
   the input of a node's residual into its consensus block.  The
   deviation rows of the noise input factor through the same ``L_j``.
 
-The covariance blocks are solved in back-substitution order: ``W_ee`` by
-``numerics.solve_dlyap`` on E; then each atom's ``W_je`` (its As column
-block, then its Lambda column blocks), and last ``W_jl`` one atom pair
-j <= l at a time, from a right-hand side of rank 2m.  Every block is a
+The covariance blocks are solved in back-substitution order.  Every row
+block of W that meets E's columns solves ``X - P X E' = R`` for one
+diagonal block P of Ar, by its As column block and then its Lambda
+column blocks: first E's As row and E's Lambda rows, which give
+``W_ee``, then each atom's ``W_je``; last ``W_jl`` one atom pair j <= l
+at a time, from a right-hand side of rank 2m.  So every block is a
 Stein equation ``X - P X Q' = R`` with P and Q atoms, Lambda or As,
 solved by one LU of ``I - P (x) Q`` for all copies of the pair.  A pair
 is projected onto Wbar as soon as it is solved, so the d2 x d2 block is
 never stored.  Each block equation's residual is recorded as it is
 solved; the largest, relative to ``1 + ||X||``, is the report's
-certificate and must meet the ``1e-9`` contract of ``solve_dlyap``.
+certificate and must stay within ``1e-9``.
 
 The dense ``Ar``, ``Bw``, ``Bv`` and ``out_map`` remain available as
 views assembled on first read, as a reference for tests.
@@ -109,6 +111,13 @@ class AugmentedSystem:
         return out
 
 
+def augmented_dims(n: int, m: int, ns: int, variant: str) -> tuple:
+    """(deviation block, tracking block, stable substate) dimensions of the
+    augmented system; each of the m - 1 atoms repeats m times for alg1 and
+    n times for alg2."""
+    return ((m - 1) * (m if variant == "alg1" else n) * n, m * n, ns)
+
+
 def _laplacian_eigenbasis(graph: SensorGraph):
     """Orthonormal eigenbasis with the normalized all-ones vector first."""
     m = graph.m
@@ -179,7 +188,7 @@ def build_augmented(
         Bw_e=np.vstack([W_eps, split.J]) @ split.Vinv,
         Bv_e=np.vstack([V_eps, np.zeros((ns, m))]),
         F=F, variant=variant,
-        block_dims=((m - 1) * copies * n, mn, ns), spectral_radius=rho,
+        block_dims=augmented_dims(n, m, ns, variant), spectral_radius=rho,
     )
 
 
@@ -209,6 +218,19 @@ def _stein(P: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
     return np.linalg.solve(K, rhs).T.reshape(R.shape)
 
 
+def _stein_rows(P, Lam, A_eps, As, R):
+    """``X - P X E' = R`` for a stack R (c, p, e) of row blocks, with
+    ``E = [[I (x) Lambda, A_eps], [0, As]]``: the As column block first,
+    then the Lambda column blocks, one p x n block per copy and node."""
+    c, p, _ = R.shape
+    n, mn = Lam.shape[0], A_eps.shape[0]
+    X = np.empty_like(R)
+    X[..., mn:] = _stein(P, As, R[..., mn:])
+    blocks = (R[..., :mn] + P @ X[..., mn:] @ A_eps.T).reshape(c, p, mn // n, n).swapaxes(1, 2)
+    X[..., :mn] = _stein(P, Lam, blocks).swapaxes(1, 2).reshape(c, p, mn)
+    return X
+
+
 def _relres(res: np.ndarray, X: np.ndarray) -> float:
     return float(np.linalg.norm(res) / (1.0 + np.linalg.norm(X)))
 
@@ -218,12 +240,11 @@ def asymptotic_covariance(
 ) -> CovarianceReport:
     """Exact steady-state covariance, solved block by block.
 
-    Back-substitution order (see the module docstring): ``W_ee`` on E;
-    each atom j's ``W_je``, its As column block first, then its Lambda
-    column blocks; then ``W_jl`` for every atom pair j <= l, each
-    projected onto Wbar at once.  ``Wbreve = Wbar + (11') (x) Ppost``,
-    where the second term is the centralized Kalman error shared by every
-    node.
+    Back-substitution order (see the module docstring): ``W_ee`` by E's
+    As row, then its Lambda rows; each atom j's ``W_je``; then ``W_jl``
+    for every atom pair j <= l, each projected onto Wbar at once.
+    ``Wbreve = Wbar + (11') (x) Ppost``, where the second term is the
+    centralized Kalman error shared by every node.
 
     Raises:
         NoConvergenceError: a block equation's residual exceeds
@@ -236,7 +257,12 @@ def asymptotic_covariance(
     E, Ec = aug.E, aug.Ec
     V_ee = aug.Bw_e @ Q @ aug.Bw_e.T + aug.Bv_e @ R @ aug.Bv_e.T
     V_ee = 0.5 * (V_ee + V_ee.T)
-    W_ee = numerics.solve_dlyap(E, V_ee)
+    Lam, A_eps, As = E[:n, :n], E[:mn, mn:], E[mn:, mn:]
+    # E's Lambda rows see its As row through A_eps
+    W_s = _stein_rows(As, Lam, A_eps, As, V_ee[None, mn:])[0]
+    rhs = V_ee[:mn].reshape(m, n, -1) + A_eps.reshape(m, n, -1) @ (W_s @ E.T)
+    W_ee = np.vstack([_stein_rows(Lam, Lam, A_eps, As, rhs).reshape(mn, -1), W_s])
+    W_ee = 0.5 * (W_ee + W_ee.T)
     residual = _relres(W_ee - E @ W_ee @ E.T - V_ee, W_ee)
 
     # mode j's W_je solves X - D_j X E' = L_j G; the right-hand side of
@@ -244,16 +270,11 @@ def asymptotic_covariance(
     G = Ec @ W_ee @ E.T + aug.Cw @ Q @ aug.Bw_e.T + R @ aug.Bv_e.T
     H = Ec @ W_ee @ Ec.T + aug.Cw @ Q @ aug.Cw.T + R
     H = 0.5 * (H + H.T)
-    Lam, A_eps, As = E[:n, :n], E[:mn, mn:], E[mn:, mn:]
     left, right = [], []
     for j, M in enumerate(aug.atoms):
         Lj = aug.P * aug.phi[:, j]
         rhs = (Lj @ G).reshape(c, n, -1)
-        X = np.empty_like(rhs)
-        X[..., mn:] = _stein(M, As, rhs[..., mn:])
-        # the Lambda column blocks: one n x n block per copy and node
-        blocks = (rhs[..., :mn] + M @ X[..., mn:] @ A_eps.T).reshape(c, n, m, n).swapaxes(1, 2)
-        X[..., :mn] = _stein(M, Lam, blocks).swapaxes(1, 2).reshape(c, n, mn)
+        X = _stein_rows(M, Lam, A_eps, As, rhs)
         residual = max(residual, _relres(X - M @ X @ E.T - rhs, X))
         Yj = (M @ X @ Ec.T).reshape(c * n, m)
         left.append(np.hstack([Yj, Lj]))

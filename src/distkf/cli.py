@@ -52,6 +52,14 @@ def _load(args) -> Scenario:
     return sc
 
 
+def _design(sc: Scenario):
+    """The scenario's design and the variant it runs."""
+    designs = design_pipeline(
+        sc.model, sc.graph, zeta=sc.zeta, stable_poles=sc.stable_poles, variant=sc.variant
+    )
+    return designs, resolve_variant(sc.variant, sc.model.n, sc.model.m)
+
+
 def _strategy(sc: Scenario):
     if sc.drop_prob > 0.0:
         return bernoulli_drop_strategy(sc.drop_prob)
@@ -82,10 +90,7 @@ def _feasibility_lines(designs, variant):
 
 def cmd_check(args) -> int:
     sc = _load(args)
-    designs = design_pipeline(
-        sc.model, sc.graph, zeta=sc.zeta, stable_poles=sc.stable_poles, variant=sc.variant
-    )
-    variant = resolve_variant(sc.variant, sc.model.n, sc.model.m)
+    designs, variant = _design(sc)
     for line in _feasibility_lines(designs, variant):
         print(line)
     return 0
@@ -128,10 +133,7 @@ def _design_dict(sc: Scenario, designs, variant):
 
 def cmd_design(args) -> int:
     sc = _load(args)
-    designs = design_pipeline(
-        sc.model, sc.graph, zeta=sc.zeta, stable_poles=sc.stable_poles, variant=sc.variant
-    )
-    variant = resolve_variant(sc.variant, sc.model.n, sc.model.m)
+    designs, variant = _design(sc)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "design.json", "w", encoding="utf-8") as fh:
@@ -148,9 +150,7 @@ def _analytic_report(sc: Scenario, designs, variant):
     skipped: above the size cap, or for a run the covariance model does
     not describe (it models one consensus round per sample over static
     links, with the consensus state read out unchanged)."""
-    n, m = sc.model.n, sc.model.m
-    blk = m * n if variant == "alg1" else n * n
-    dim = (m - 1) * blk + m * n + designs.split.ns
+    dim = sum(analysis.augmented_dims(sc.model.n, sc.model.m, designs.split.ns, variant))
     if dim > _ANALYTIC_DIM_CAP:
         return None, f"augmented dimension {dim} exceeds cap {_ANALYTIC_DIM_CAP}"
     unmodeled = []
@@ -171,10 +171,7 @@ def _analytic_report(sc: Scenario, designs, variant):
 
 def cmd_simulate(args) -> int:
     sc = _load(args)
-    designs = design_pipeline(
-        sc.model, sc.graph, zeta=sc.zeta, stable_poles=sc.stable_poles, variant=sc.variant
-    )
-    variant = resolve_variant(sc.variant, sc.model.n, sc.model.m)
+    designs, variant = _design(sc)
     config = _trial_config(sc)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -210,19 +207,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    sc = builtin_scenario(args.example, trials=args.trials, seed=args.seed)
-    if args.rounds is not None:
-        sc = replace(sc, rounds_per_sample=args.rounds)
-    if args.drop is not None:
-        sc = replace(sc, drop_prob=args.drop)
+    sc = _load(args)
     outdir = Path(args.out) if args.out else None
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)
 
-    designs = design_pipeline(
-        sc.model, sc.graph, zeta=sc.zeta, stable_poles=sc.stable_poles, variant=sc.variant
-    )
-    variant = resolve_variant(sc.variant, sc.model.n, sc.model.m)
+    designs, variant = _design(sc)
     config = _trial_config(sc)
     for line in _feasibility_lines(designs, variant):
         print(line)
@@ -259,7 +249,7 @@ def cmd_reproduce(args) -> int:
     else:
         locals_ = local_baselines(sc.model)
         ratios = analysis.performance_ratios(
-            _mse_blocks(node_mse), locals_, designs.kalman.Ppost
+            [np.diag(row) for row in node_mse], locals_, designs.kalman.Ppost
         )
         print("\nsensor |  rho_local  rho_dist  improvement")
         rows = []
@@ -278,11 +268,6 @@ def cmd_reproduce(args) -> int:
             json.dump(report, fh, indent=1)
         print(f"wrote {outdir / 'report.json'}")
     return 0
-
-
-def _mse_blocks(node_mse: np.ndarray):
-    """Diagonal covariance blocks from per-state MSE values."""
-    return [np.diag(node_mse[i]) for i in range(node_mse.shape[0])]
 
 
 def _add_common(p: argparse.ArgumentParser, config_group: bool = True):

@@ -65,10 +65,6 @@ class NoConvergenceError(NumericalError):
     pass
 
 
-class UnstableMatrixError(NumericalError):
-    pass
-
-
 class IllConditionedError(NumericalError):
     pass
 

@@ -175,8 +175,8 @@ def build_graph(adjacency, positions=None) -> SensorGraph:
     """
     A = np.atleast_2d(np.asarray(adjacency, dtype=float))
     m = A.shape[0]
-    if A.shape != (m, m):
-        raise DimensionMismatchError("adjacency must be square")
+    if m == 0 or A.shape != (m, m):
+        raise DimensionMismatchError("adjacency must be square with at least one sensor")
     if np.linalg.norm(A - A.T) > 1e-12 * (1.0 + np.linalg.norm(A)):
         raise DimensionMismatchError("adjacency must be symmetric")
     if np.any(A < 0):

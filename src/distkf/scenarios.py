@@ -63,6 +63,8 @@ class Scenario:
             raise ConfigError(f"drop_prob must lie in [0, 1), got {self.drop_prob}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.horizon < 0:
+            raise ConfigError(f"horizon must be non-negative, got {self.horizon}")
 
 
 def _matrix(obj, name):
@@ -105,6 +107,8 @@ def parse_scenario(cfg: dict, name: str = "custom") -> Scenario:
         graph = _graph_from_config(cfg["graph"])
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad system or graph value: {exc}") from exc
     try:
         design = cfg.get("design", {})
         sim = cfg.get("sim", {})
@@ -116,14 +120,15 @@ def parse_scenario(cfg: dict, name: str = "custom") -> Scenario:
                     f"sim.initial_state_cov is {x0cov.shape[0]}x{x0cov.shape[1]}, "
                     f"expected {model.n}x{model.n} for the plant order"
                 )
+        zeta, poles = design.get("zeta"), design.get("stable_poles")
         horizon = int(sim.get("horizon", 100))
         lo = min(horizon, max(1, horizon // 2))
         return Scenario(
             name=name,
             model=model,
             graph=graph,
-            zeta=design.get("zeta"),
-            stable_poles=design.get("stable_poles"),
+            zeta=None if zeta is None else float(zeta),
+            stable_poles=None if poles is None else [complex(p) for p in np.ravel(poles)],
             variant=str(design.get("variant", "auto")),
             replace_own=bool(design.get("replace_own", False)),
             horizon=horizon,

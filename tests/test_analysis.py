@@ -7,7 +7,14 @@ import distkf
 from distkf import analysis, numerics
 from distkf.errors import InfeasibleDesignError, NoConvergenceError, UnstableAugmentedError
 
-from conftest import heat_grid, random_connected_graph, random_observable_model, trial_config
+from conftest import (
+    heat_grid,
+    matrix_with_spectrum,
+    random_connected_graph,
+    random_observable_model,
+    random_spectrum,
+    trial_config,
+)
 
 
 def build_report(sc, designs, variant):
@@ -50,6 +57,59 @@ def dense_wbar(aug, model, solve):
 
 def relative_gap(Wbar, ref):
     return np.linalg.norm(Wbar - ref) / np.linalg.norm(ref)
+
+
+class TestStein:
+    """The direct solver of ``X - P X Q' = R`` behind every covariance
+    block, here with Q = P, against closed forms, the truncated series and
+    scipy's Schur-based solver."""
+
+    def test_zero_map(self):
+        assert_allclose(analysis._stein(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2)), np.eye(2))
+
+    def test_scalar_closed_form(self):
+        # W = V / (1 - F^2)
+        F = np.array([[0.5]])
+        assert_allclose(analysis._stein(F, F, np.array([[3.0]])), [[4.0]], rtol=1e-12)
+
+    def test_decoupled_diagonal(self):
+        F = np.diag([0.2, 0.5])
+        W = analysis._stein(F, F, np.eye(2))
+        assert_allclose(W, np.diag([1 / 0.96, 4 / 3]), rtol=1e-12)
+
+    def test_series_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            n = rng.integers(1, 5)
+            F = matrix_with_spectrum(rng, random_spectrum(rng, n, allow_unstable=False))
+            F *= 0.9 / max(numerics.spectral_radius(F), 0.9)
+            B = rng.standard_normal((n, n))
+            V = B @ B.T
+            W = analysis._stein(F, F, V)
+            acc = np.zeros((n, n))
+            Fk = np.eye(n)
+            for _ in range(201):
+                acc += Fk @ V @ Fk.T
+                Fk = F @ Fk
+            assert_allclose(W, acc, atol=1e-6 * (1 + np.linalg.norm(W)))
+
+    def test_near_boundary_non_normal(self):
+        # spectral radius 0.999 on a Jordan-like 3-block coupled to a
+        # stable remainder
+        rng = np.random.default_rng(0)
+        n = 40
+        J = 0.999 * np.eye(3) + 0.003 * np.eye(3, k=1)
+        rest = linalg.schur(matrix_with_spectrum(
+            rng, random_spectrum(rng, n - 3, allow_unstable=False)), output="real")[0]
+        T = linalg.block_diag(J, rest)
+        T[:3, 3:] = 0.3 * rng.standard_normal((3, n - 3))
+        Z, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        F = Z @ T @ Z.T
+        assert abs(numerics.spectral_radius(F) - 0.999) < 1e-4
+        B = rng.standard_normal((n, n))
+        V = B @ B.T
+        ref = linalg.solve_discrete_lyapunov(F, V)
+        assert np.linalg.norm(analysis._stein(F, F, V) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 class TestBuildAugmented:
@@ -209,12 +269,12 @@ class TestExactOracle:
 
     def test_random_plants_match_dense_solve(self, random_plants):
         # some of these Stein operators are ill-conditioned enough that two
-        # correct direct solvers differ well above roundoff (1.7e-6 at worst)
+        # correct direct solvers differ well above roundoff (1.9e-6 at worst)
         for model, designs in random_plants:
             for variant in ("alg1", "alg2"):
                 aug = augment(model, designs, variant)
                 rep = distkf.asymptotic_covariance(aug, model, designs.kalman.Ppost)
-                ref = dense_wbar(aug, model, numerics.solve_dlyap)
+                ref = dense_wbar(aug, model, linalg.solve_discrete_lyapunov)
                 if model.m == 1:
                     assert_allclose(rep.Wbar, ref, atol=1e-15)
                 else:
@@ -231,31 +291,26 @@ class TestCertificate:
 
     @pytest.mark.parametrize("block", ["pair", "coupling", "ee"])
     def test_corrupted_block_is_flagged(self, example1, monkeypatch, block):
-        # perturb the solution of one W_jl atom pair or of the Lambda column
-        # blocks of one W_je as it leaves the Stein solver, or W_ee as it
-        # leaves solve_dlyap
+        # perturb, as it leaves the Stein solver, the solution of one W_jl
+        # atom pair, of the Lambda column blocks of one W_je, or of every
+        # row block of W_ee (the only solves whose P is Lambda or As)
         sc, designs = example1
         aug, _ = build_report(sc, designs, "alg1")
-        if block == "ee":
-            dlyap = numerics.solve_dlyap
+        Lam, As = designs.bundle.Lambda, designs.split.As
+        target = aug.atoms[-1] if block == "pair" else Lam
+        solve = analysis._stein
 
-            def corrupted_dlyap(F, V):
-                W = dlyap(F, V)
-                W.flat[0] += 1e-6
-                return W
+        def corrupted(P, Q, R):
+            X = solve(P, Q, R)
+            if block == "ee":
+                hit = np.array_equal(P, Lam) or np.array_equal(P, As)
+            else:
+                hit = np.array_equal(P, aug.atoms[0]) and np.array_equal(Q, target)
+            if hit:
+                X.flat[0] += 1e-6
+            return X
 
-            monkeypatch.setattr(analysis.numerics, "solve_dlyap", corrupted_dlyap)
-        else:
-            target = aug.atoms[-1] if block == "pair" else designs.bundle.Lambda
-            solve = analysis._stein
-
-            def corrupted(P, Q, R):
-                X = solve(P, Q, R)
-                if np.array_equal(P, aug.atoms[0]) and np.array_equal(Q, target):
-                    X.flat[0] += 1e-6
-                return X
-
-            monkeypatch.setattr(analysis, "_stein", corrupted)
+        monkeypatch.setattr(analysis, "_stein", corrupted)
         with pytest.raises(NoConvergenceError):
             distkf.asymptotic_covariance(aug, sc.model, designs.kalman.Ppost)
 

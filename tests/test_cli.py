@@ -188,9 +188,10 @@ class TestAnalyticSkippedForUnmodeledRuns:
 
 
 class TestBadSimOptions:
-    """Link-drop probability outside [0, 1), negative seeds and non-numeric
-    sim values end with exit 2 and exactly one error line on stderr, never
-    a traceback or a warning, from flags and from scenario JSON."""
+    """Link-drop probability outside [0, 1), negative seeds and horizons,
+    and non-numeric or malformed sim, graph and design values end with
+    exit 2 and exactly one error line on stderr, never a traceback or a
+    warning, from flags and from scenario JSON."""
 
     @staticmethod
     def _run(args):
@@ -215,7 +216,9 @@ class TestBadSimOptions:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
-    @pytest.mark.parametrize("sim", [{"drop_prob": 1.0}, {"seed": -3}, {"seed": "abc"}])
+    @pytest.mark.parametrize("sim", [
+        {"drop_prob": 1.0}, {"seed": -3}, {"seed": "abc"}, {"horizon": -1},
+    ])
     def test_scenario_json(self, tmp_path, sim):
         cfg = write_config(tmp_path / "c.json", sim={"horizon": 10, "trials": 1, **sim})
         proc = self._run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -223,6 +226,24 @@ class TestBadSimOptions:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("overrides", [
+        dict(graph="ring"),
+        dict(graph={"kind": "ring", "m": "x"}),
+        dict(graph={"kind": "ring", "m": 0}),
+        dict(graph={"kind": "ring", "m": 4, "weight": "w"}),
+        dict(graph={"kind": "random_geometric", "m": 4, "radius": "far", "seed": 1}),
+        dict(graph={"kind": "random_geometric", "m": 4, "radius": 2.0, "seed": -1}),
+        dict(design={"zeta": "x"}),
+        dict(design={"zeta": 0.5, "stable_poles": "abc"}),
+    ], ids=["graph-not-object", "ring-m-text", "ring-m-zero", "ring-weight-text",
+            "geometric-radius-text", "geometric-seed-negative", "zeta-text", "stable-poles-text"])
+    def test_graph_and_design_json(self, tmp_path, overrides):
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        proc = self._run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in proc.stderr + proc.stdout
 
     def test_initial_state_cov_misfits_plant_order(self, tmp_path):
         # a 3-state plant with the 2x2 covariance once died in run_trial
@@ -239,19 +260,24 @@ class TestBadSimOptions:
 
 
 class TestBadDesignInputs:
-    """A defective closed loop, a stable-pole clash and a repeated unstable
-    complex pair end with exit 4, and a plant with no stabilising Kalman
-    filter with exit 3, each with exactly one error line on stderr."""
+    """A defective closed loop, a stable-pole clash, a failed Riccati solve
+    and a repeated unstable complex pair end with exit 4, and a plant with
+    no stabilising Kalman filter with exit 3, each with exactly one error
+    line on stderr."""
 
-    @pytest.mark.parametrize("overrides", [
+    @pytest.mark.parametrize("overrides, needle", [
         # Jordan block with near-blind sensors: A - KCA equals A to roundoff
-        dict(system={"A": [[0.5, 1.0], [0.0, 0.5]], "C": [[1, 0], [0, 1], [1, 1], [1, -1]],
-                     "Q": [[1, 0], [0, 1]], "R": np.diag([1e20] * 4).tolist()},
-             design={}),
+        (dict(system={"A": [[0.5, 1.0], [0.0, 0.5]], "C": [[1, 0], [0, 1], [1, 1], [1, -1]],
+                      "Q": [[1, 0], [0, 1]], "R": np.diag([1e20] * 4).tolist()},
+              design={}), "defective"),
         # 0.6286 lies within 1e-3 of the closed-loop pole 0.62859...
-        dict(design={"zeta": 0.5, "stable_poles": [0.6286]}),
-    ], ids=["defective-closed-loop", "stable-pole-clash"])
-    def test_exit_4(self, tmp_path, overrides):
+        (dict(design={"zeta": 0.5, "stable_poles": [0.6286]}), "stable pole"),
+        # detectable, but scipy finds no finite Riccati solution for 1e8
+        (dict(system={"A": [[1e8, 0.0], [0.0, 0.5]], "C": [[1, 0], [0, 1], [1, 1], [1, -1]],
+                      "Q": [[0.25, 0], [0, 0.25]], "R": np.diag([4.0] * 4).tolist()}),
+         "Riccati solve"),
+    ], ids=["defective-closed-loop", "stable-pole-clash", "riccati-failure"])
+    def test_exit_4(self, tmp_path, overrides, needle):
         cfg = write_config(tmp_path / "c.json", **overrides)
         proc = TestBadSimOptions._run(
             ["design", "--config", str(cfg), "--out", str(tmp_path / "o")]
@@ -259,6 +285,8 @@ class TestBadDesignInputs:
         assert proc.returncode == 4
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert needle in lines[0]
+        assert "Traceback" not in proc.stderr + proc.stdout
 
     def test_repeated_complex_pair_exit_4(self, tmp_path):
         # A = I_2 (x) 1.05 rot(0.7) repeats one unstable complex pair, which

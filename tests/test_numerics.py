@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy import linalg
 
 from distkf import numerics
-from distkf.errors import NotDetectableError, UnstableMatrixError
+from distkf.errors import NoConvergenceError, NotDetectableError
 
 from conftest import matrix_with_spectrum, random_observable_model, random_spectrum
 
@@ -46,6 +46,11 @@ class TestSolveDare:
             1 + np.linalg.norm(S)
         )
 
+    def test_residual_miss_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(linalg, "solve_discrete_are", lambda A, B, Q, R: Q)
+        with pytest.raises(NoConvergenceError, match="Riccati residual"):
+            numerics.solve_dare([[0.5]], [[1.0]], [[1.0]], [[1.0]])
+
     def test_random_residuals(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -54,110 +59,6 @@ class TestSolveDare:
             res = dare_residual(model.A, model.C, model.Q, model.R, S)
             assert res <= 1e-9 * (1 + np.linalg.norm(S))
             assert np.min(np.linalg.eigvalsh(S)) >= -1e-9 * (1 + np.linalg.norm(S))
-
-
-class TestSolveDlyap:
-    def test_zero_map(self):
-        assert_allclose(numerics.solve_dlyap(np.zeros((2, 2)), np.eye(2)), np.eye(2))
-
-    def test_scalar_closed_form(self):
-        # W = V / (1 - F^2)
-        assert_allclose(numerics.solve_dlyap([[0.5]], [[3.0]]), [[4.0]], rtol=1e-12)
-
-    def test_decoupled_diagonal(self):
-        W = numerics.solve_dlyap(np.diag([0.2, 0.5]), np.eye(2))
-        assert_allclose(W, np.diag([1 / 0.96, 4 / 3]), rtol=1e-12)
-
-    def test_unstable_rejected(self):
-        with pytest.raises(UnstableMatrixError):
-            numerics.solve_dlyap([[1.0]], [[1.0]])
-
-    def test_series_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            n = rng.integers(1, 5)
-            F = matrix_with_spectrum(rng, random_spectrum(rng, n, allow_unstable=False))
-            F *= 0.9 / max(numerics.spectral_radius(F), 0.9)
-            B = rng.standard_normal((n, n))
-            V = B @ B.T
-            W = numerics.solve_dlyap(F, V)
-            acc = np.zeros((n, n))
-            Fk = np.eye(n)
-            for _ in range(201):
-                acc += Fk @ V @ Fk.T
-                Fk = F @ Fk
-            assert_allclose(W, acc, atol=1e-6 * (1 + np.linalg.norm(W)))
-
-
-class TestDlyapAgainstScipy:
-    """The doubling solver against scipy's Schur-based solver (kept here
-    only as the reference) on larger, complex-spectrum and near-boundary
-    inputs."""
-
-    RTOL = 1e-10
-
-    @staticmethod
-    def _check(F, V):
-        W = numerics.solve_dlyap(F, V)
-        ref = linalg.solve_discrete_lyapunov(F, V)
-        assert np.linalg.norm(W - ref) <= TestDlyapAgainstScipy.RTOL * np.linalg.norm(ref)
-
-    @pytest.mark.parametrize("n, seed", [(65, 1), (129, 2), (250, 3)])
-    def test_matches_scipy(self, n, seed):
-        rng = np.random.default_rng(seed)
-        F = matrix_with_spectrum(rng, random_spectrum(rng, n, allow_unstable=False))
-        T, _ = linalg.schur(F, output="real")
-        assert np.count_nonzero(np.diag(T, -1)) >= 10  # complex pairs present
-        B = rng.standard_normal((n, n))
-        self._check(F, B @ B.T)
-
-    def test_midpoint_on_complex_pair(self):
-        # F is already in real Schur form, with a 2x2 block straddling
-        # rows 63-64
-        rng = np.random.default_rng(4)
-        sizes = [2] * 31 + [1, 2] + [2] * 32
-        F = np.triu(0.3 * rng.standard_normal((129, 129)), 1)
-        k = 0
-        for size in sizes:
-            if size == 1:
-                F[k, k] = rng.uniform(-0.9, 0.9)
-            else:
-                r, th = rng.uniform(0.2, 0.9), rng.uniform(0.2, np.pi - 0.2)
-                b = rng.uniform(0.5, 2.0)
-                F[k : k + 2, k : k + 2] = [[r * np.cos(th), r * np.sin(th) * b],
-                                           [-r * np.sin(th) / b, r * np.cos(th)]]
-            k += size
-        T, _ = linalg.schur(F, output="real")
-        assert T[64, 63] != 0.0
-        B = rng.standard_normal((129, 129))
-        self._check(F, B @ B.T)
-
-    def test_near_boundary_non_normal(self):
-        # spectral radius 0.999 on a Jordan-like 3-block coupled to a
-        # stable remainder: the stop rule needs 15 doublings here
-        rng = np.random.default_rng(0)
-        n = 40
-        J = 0.999 * np.eye(3) + 0.003 * np.eye(3, k=1)
-        rest = linalg.schur(matrix_with_spectrum(
-            rng, random_spectrum(rng, n - 3, allow_unstable=False)), output="real")[0]
-        T = linalg.block_diag(J, rest)
-        T[:3, 3:] = 0.3 * rng.standard_normal((3, n - 3))
-        Z, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        F = Z @ T @ Z.T
-        assert abs(numerics.spectral_radius(F) - 0.999) < 1e-4
-        B = rng.standard_normal((n, n))
-        self._check(F, B @ B.T)
-
-    def test_unit_modulus_pair_rejected(self):
-        rng = np.random.default_rng(5)
-        eigs = np.concatenate([random_spectrum(rng, 78, allow_unstable=False),
-                               np.exp([0.7j, -0.7j])])
-        F = matrix_with_spectrum(rng, eigs)
-        T, _ = linalg.schur(F, output="real")
-        # every diagonal entry is inside the disc: only the 2x2 block is not
-        assert np.abs(np.diag(T)).max() < 0.95
-        with pytest.raises(UnstableMatrixError):
-            numerics.solve_dlyap(F, np.eye(80))
 
 
 class TestSpectralSplit:
