@@ -38,7 +38,6 @@ from .decomposition import (
     build_lambda,
     design_S_beta,
     reduce_model,
-    verify_lossless,
 )
 from .errors import (
     BadNoiseError,
@@ -51,7 +50,6 @@ from .errors import (
     InfeasibleConditionError,
     InfeasibleDesignError,
     InfeasibleZetaError,
-    LosslessViolationError,
     NoConvergenceError,
     NotDetectableError,
     NotObservableError,
@@ -59,7 +57,7 @@ from .errors import (
     PoleClashError,
     UnstableAugmentedError,
 )
-from .kalman import KalmanDesign, design_kalman, design_local_kf, step_centralized
+from .kalman import KalmanDesign, design_kalman, design_local_kf
 from .pipeline import design_pipeline, local_baselines
 from .plant import (
     SensorGraph,
@@ -86,17 +84,12 @@ from .scenarios import (
 from .simulator import (
     DesignSet,
     MonteCarloResult,
-    NodeState,
     SimulationTrace,
     TrialConfig,
-    init_node,
     message_dimension,
     resolve_variant,
     run_monte_carlo,
     run_trial,
-    step_node_alg1,
-    step_node_alg2,
-    step_truth,
     write_mse_csv,
     write_trace_csv,
 )

@@ -47,9 +47,7 @@ kernel returns x (B, T+1, n), y (B, T+1, m), xhat (B, T+1, n), xbreve
 consensus state (B, m, r, n).  With ``chunk`` it keeps only that many
 steps of node estimates: whenever the buffer fills, it sums the squared
 errors against x and the squared deviations from xhat over the trial
-axis, and it returns those two (T+1, m, n) sums.  Called with w (T, n),
-v0 (m,), v (T, m), x0 (n,) and gains (T, rounds, m, m), a kernel runs one
-trial and returns the same without the trial axis.
+axis, and it returns those two (T+1, m, n) sums.
 """
 
 from __future__ import annotations
@@ -63,10 +61,6 @@ def _laplacian(g):
 
 
 def _simulate(A, C, Acl, K, S, beta, inject, read, own, Gamma, gains, w, v0, v, x0, chunk=None):
-    if w.ndim == 2:
-        out = _simulate(A, C, Acl, K, S, beta, inject, read, own, Gamma, gains[None],
-                        w[None], v0[None], v[None], x0[None], chunk)
-        return out if chunk is not None else tuple(a[0] for a in out)
     B, T, n = w.shape
     m = C.shape[0]
     r = read.shape[1] // n

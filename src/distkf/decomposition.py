@@ -50,11 +50,10 @@ from . import numerics
 from .errors import (
     ConfigError,
     IllConditionedError,
-    LosslessViolationError,
     NumericalError,
     PoleClashError,
 )
-from .kalman import KalmanDesign, step_centralized
+from .kalman import KalmanDesign
 from .plant import SplitModel, SystemModel, split_model
 
 _COND_LIMIT = 1e12          # largest cond(K_beta) for which ReducedBundle.alpha is filled
@@ -415,53 +414,6 @@ def build_bundle(
         Lambda=S - np.outer(np.ones(len(beta)), beta), beta=beta, S=S, F=F, G=G,
         phiS=np.real(np.poly(basis.s)), diagnostics=diags, modal=basis,
     )
-
-
-@dataclass(frozen=True)
-class LosslessReport:
-    max_relative_residual: float
-    worst_step: int
-    horizon: int
-
-
-def verify_lossless(
-    bundle: DecompositionBundle,
-    model: SystemModel,
-    design: KalmanDesign,
-    horizon: int = 200,
-    seed: int = 0,
-    tol: float = 1e-7,
-) -> LosslessReport:
-    """Simulate the plant, all local filters, and the centralized filter
-    from zero initial conditions and check that sum_i F_i xi_i(k)
-    reproduces the Kalman estimate at every step.
-
-    Raises LosslessViolationError when the residual exceeds
-    ``tol * (1 + ||xhat||)`` at any step.
-    """
-    n, m = model.n, model.m
-    rng = np.random.default_rng(seed)
-    Lq = psd_factor(model.Q)
-    Lr = psd_factor(model.R)
-    x = np.zeros(n)
-    xhat = np.zeros(n)
-    xi = np.zeros((m, n))
-    worst, worst_k = 0.0, 0
-    for k in range(horizon):
-        x = model.A @ x + Lq @ rng.standard_normal(Lq.shape[1])
-        y = model.C @ x + Lr @ rng.standard_normal(Lr.shape[1])
-        z = y - xi @ bundle.beta
-        xi = xi @ bundle.S.T + np.outer(z, np.ones(n))
-        xhat = step_centralized(design, xhat, y)
-        rec = np.einsum("ijk,ik->j", bundle.F, xi)
-        rel = np.linalg.norm(rec - xhat) / (1.0 + np.linalg.norm(xhat))
-        if rel > worst:
-            worst, worst_k = rel, k + 1
-    if worst > tol:
-        raise LosslessViolationError(
-            f"lossless identity violated: residual {worst:.3e} at step {worst_k}"
-        )
-    return LosslessReport(max_relative_residual=worst, worst_step=worst_k, horizon=horizon)
 
 
 def psd_factor(M: np.ndarray, clip: float = 1e-12) -> np.ndarray:

@@ -76,7 +76,3 @@ class PoleClashError(NumericalError):
 
 class UnstableAugmentedError(NumericalError):
     pass
-
-
-class LosslessViolationError(NumericalError):
-    pass

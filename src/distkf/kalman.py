@@ -72,7 +72,3 @@ def design_local_kf(model: SystemModel, sensor: int) -> KalmanDesign:
         raise NotDetectableError(f"sensor {sensor} cannot observe the unstable subspace")
     return _design(model.A, Ci, model.Q, Ri)
 
-
-def step_centralized(design: KalmanDesign, xhat: np.ndarray, y_next: np.ndarray) -> np.ndarray:
-    """One fixed-gain update: Acl @ xhat + K @ y(k+1)."""
-    return design.Acl @ xhat + design.K @ y_next

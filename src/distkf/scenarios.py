@@ -63,8 +63,8 @@ class Scenario:
             raise ConfigError(f"drop_prob must lie in [0, 1), got {self.drop_prob}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.horizon < 0:
-            raise ConfigError(f"horizon must be non-negative, got {self.horizon}")
+        if self.horizon < 1:
+            raise ConfigError(f"horizon must be at least 1, got {self.horizon}")
 
 
 def _matrix(obj, name):
@@ -122,7 +122,7 @@ def parse_scenario(cfg: dict, name: str = "custom") -> Scenario:
                 )
         zeta, poles = design.get("zeta"), design.get("stable_poles")
         horizon = int(sim.get("horizon", 100))
-        lo = min(horizon, max(1, horizon // 2))
+        lo = max(1, horizon // 2)
         return Scenario(
             name=name,
             model=model,

@@ -25,7 +25,6 @@ the whole batch.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,7 @@ import numpy as np
 from . import _kernels
 from .consensus import ConsensusDesign, StaticStrategy, SyncStrategy
 from .decomposition import DecompositionBundle, ReducedBundle, psd_factor
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError
 from .kalman import KalmanDesign
 from .plant import SensorGraph, SplitModel, SystemModel
 
@@ -101,25 +100,6 @@ class SimulationTrace:
         return self.xbreve - self.xhat[..., None, :]
 
 
-_noise_factors: "weakref.WeakKeyDictionary[SystemModel, tuple]" = weakref.WeakKeyDictionary()
-
-
-def _factors(model: SystemModel):
-    cached = _noise_factors.get(model)
-    if cached is None:
-        cached = (psd_factor(model.Q), psd_factor(model.R))
-        _noise_factors[model] = cached
-    return cached
-
-
-def step_truth(model: SystemModel, x: np.ndarray, rng: np.random.Generator):
-    """One plant step: x(k+1) = Ax + w, y(k+1) = Cx(k+1) + v."""
-    Lq, Lr = _factors(model)
-    x_next = model.A @ x + Lq @ rng.standard_normal(Lq.shape[1])
-    y_next = model.C @ x_next + Lr @ rng.standard_normal(Lr.shape[1])
-    return x_next, y_next
-
-
 def _seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
@@ -128,95 +108,6 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
 
 def _rng(ss: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
-
-
-@dataclass(frozen=True, eq=False)
-class NodeState:
-    """Single-node state for the reference step functions."""
-
-    index: int           # sensor index of this node
-    xi: np.ndarray       # (n,) local filter state
-    blocks: np.ndarray   # (m, n) inference blocks (alg1) or (n, n) (alg2)
-    xbreve: np.ndarray   # (n,) fused estimate
-    msg: np.ndarray      # last broadcast: (m,) for alg1, (n,) for alg2
-
-
-def init_node(variant: str, n: int, m: int, index: int) -> NodeState:
-    blocks = np.zeros((m, n)) if variant == "alg1" else np.zeros((n, n))
-    msg = np.zeros(message_dimension(variant, n, m))
-    return NodeState(index=index, xi=np.zeros(n), blocks=blocks, xbreve=np.zeros(n), msg=msg)
-
-
-def node_message(state: NodeState, gamma: np.ndarray) -> np.ndarray:
-    """Broadcast vector: gamma applied blockwise to the consensus state."""
-    return state.blocks @ gamma
-
-
-def step_node_alg1(
-    state: NodeState,
-    bundle: DecompositionBundle,
-    design: ConsensusDesign,
-    neighbor_msgs,
-    y_next: float,
-    replace_own: bool = False,
-) -> NodeState:
-    """Reference single-node update for variant 1.
-
-    ``neighbor_msgs`` is a list of (effective_weight, message) pairs from
-    the current step; the node's own message is recomputed internally.
-    The fused output substitutes xi/m for the own block when
-    ``replace_own`` is set; the consensus state itself is never altered.
-    """
-    n, m = bundle.n, bundle.m
-    if state.blocks.shape != (m, n):
-        raise DimensionMismatchError("node state does not match variant alg1")
-    ones = np.ones(n)
-    z = float(y_next) - float(bundle.beta @ state.xi)
-    xi = bundle.S @ state.xi + ones * z
-    own = node_message(state, design.Gamma)
-    coup = np.zeros(m)
-    for weight, msg in neighbor_msgs:
-        msg = np.asarray(msg, dtype=float)
-        if msg.shape != (m,):
-            raise DimensionMismatchError("alg1 messages must have length m")
-        coup += weight * (msg - own)
-    blocks = state.blocks @ bundle.S.T + np.outer(coup, ones)
-    blocks[state.index] += ones * z
-    fused = np.einsum("jab,jb->a", bundle.F, blocks)
-    if replace_own:
-        fused += bundle.F[state.index] @ (xi / m - blocks[state.index])
-    return NodeState(
-        index=state.index, xi=xi, blocks=blocks, xbreve=m * fused, msg=blocks @ design.Gamma
-    )
-
-
-def step_node_alg2(
-    state: NodeState,
-    reduced: ReducedBundle,
-    bundle: DecompositionBundle,
-    design: ConsensusDesign,
-    neighbor_msgs,
-    y_next: float,
-) -> NodeState:
-    """Reference single-node update for variant 2 (order n^2 state)."""
-    n, m = bundle.n, bundle.m
-    if state.blocks.shape != (n, n):
-        raise DimensionMismatchError("node state does not match variant alg2")
-    ones = np.ones(n)
-    z = float(y_next) - float(bundle.beta @ state.xi)
-    xi = bundle.S @ state.xi + ones * z
-    own = node_message(state, design.Gamma)
-    coup = np.zeros(n)
-    for weight, msg in neighbor_msgs:
-        msg = np.asarray(msg, dtype=float)
-        if msg.shape != (n,):
-            raise DimensionMismatchError("alg2 messages must have length n")
-        coup += weight * (msg - own)
-    blocks = state.blocks @ bundle.S.T + reduced.T_blocks(state.index) * z + np.outer(coup, ones)
-    return NodeState(
-        index=state.index, xi=xi, blocks=blocks, xbreve=m * (blocks @ bundle.beta),
-        msg=blocks @ design.Gamma,
-    )
 
 
 def run_trial(
@@ -250,7 +141,7 @@ def run_trial(
     batch = [config.seed] if seeds is None else list(seeds)
     if not batch:
         raise ConfigError("seeds must hold at least one seed")
-    Lq, Lr = _factors(model)
+    Lq, Lr = psd_factor(model.Q), psd_factor(model.R)
     L0 = None
     if config.initial_state_cov is not None:
         L0 = psd_factor(np.asarray(config.initial_state_cov, dtype=float))

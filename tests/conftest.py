@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import distkf
-from distkf import numerics
+from distkf import _kernels, numerics
+from distkf.decomposition import psd_factor
 
 
 def random_spectrum(rng, n, allow_unstable=True):
@@ -125,3 +126,37 @@ def trial_config(sc, **overrides):
     )
     base.update(overrides)
     return distkf.TrialConfig(**base)
+
+
+def kernel_args(model, designs, cfg):
+    """Positional arguments of the variant's kernel for one trial,
+    without the trailing replace_own and without the trial axis: the
+    noise and link weights that ``run_trial`` draws for ``cfg``."""
+    noise_ss, link_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    rng = np.random.Generator(np.random.Philox(noise_ss))
+    x0 = np.zeros(model.n)
+    if cfg.initial_state_cov is not None:
+        x0 = psd_factor(cfg.initial_state_cov) @ rng.standard_normal(model.n)
+    w = rng.standard_normal((cfg.horizon, model.n)) @ psd_factor(model.Q).T
+    v = rng.standard_normal((cfg.horizon + 1, model.m)) @ psd_factor(model.R).T
+    gains = cfg.strategy.sample_gains(designs.graph.adjacency, cfg.horizon, cfg.rounds_per_sample,
+                                      np.random.Generator(np.random.Philox(link_ss)))
+    if distkf.resolve_variant(cfg.variant, model.n, model.m) == "alg1":
+        blocks = designs.bundle.F
+    else:
+        blocks = np.stack([designs.reduced.T_blocks(i) for i in range(model.m)])
+    kd = designs.kalman
+    return (model.A, model.C, kd.Acl, kd.K, designs.bundle.S, designs.bundle.beta, blocks,
+            designs.consensus.Gamma, gains, w, v[0], v[1:], x0)
+
+
+def kernel_run(model, designs, cfg):
+    """The kernel's outputs for the trial ``cfg`` describes, run as a
+    batch of one and returned without the trial axis."""
+    args = kernel_args(model, designs, cfg)
+    batch = args[:8] + tuple(a[None] for a in args[8:])
+    if distkf.resolve_variant(cfg.variant, model.n, model.m) == "alg1":
+        out = _kernels.sim_alg1(*batch, cfg.replace_own)
+    else:
+        out = _kernels.sim_alg2(*batch)
+    return tuple(a[0] for a in out)

@@ -1,15 +1,18 @@
 """Plain-Python loop versions of the simulation recursions.
 
 One explicit loop per index, written independently of the vectorized
-kernel in ``distkf._kernels``; tests use them as the reference for every
-configuration the single-node step functions cannot reproduce, such as
-several consensus rounds per sample.  Both take
+kernel in ``distkf._kernels``; they are the tests' reference for the
+network recursion in every configuration (link drops, several consensus
+rounds per sample, replace_own, block S).  Both take
 ``(A, C, Acl, K, S, beta, blocks, Gamma, gains, w, v0, v, x0, replace_own,
 rounds)`` with ``blocks`` the F_i (variant 1) or T_i (variant 2), and
-return what ``distkf._kernels.sim_alg1``/``sim_alg2`` return.
+return what ``distkf._kernels.sim_alg1``/``sim_alg2`` return for a batch
+of one trial, without the trial axis.
 """
 
 import numpy as np
+
+from distkf.decomposition import psd_factor
 
 
 def sim_alg1_loops(A, C, Acl, K, S, beta, F, Gamma, gains, w, v0, v, x0, replace_own, rounds):
@@ -136,3 +139,25 @@ def sim_alg2_loops(A, C, Acl, K, S, beta, Tb, Gamma, gains, w, v0, v, x0, replac
         x[k + 1] = xk
         y[k + 1] = yk
     return x, y, xhat, xbreve, xi, theta
+
+
+def isolated_nodes(model, design, bundle, rng, horizon, x0):
+    """``sim_alg1_loops`` with every link cut, so that node i estimates
+    m F_i xi_i and the node average is sum_i F_i xi_i.  The plant noise is
+    drawn from ``rng`` in the order of a plant stepped one sample at a
+    time: w(k), then v(k), then w(k+1)."""
+    n, m = model.n, model.m
+    Lq, Lr = psd_factor(model.Q), psd_factor(model.R)
+    z = rng.standard_normal((horizon, n + m))
+    return sim_alg1_loops(model.A, model.C, design.Acl, design.K, bundle.S, bundle.beta,
+                          bundle.F, np.zeros(n), np.zeros((horizon, 1, m, m)), z[:, :n] @ Lq.T,
+                          np.zeros(m), z[:, n:] @ Lr.T, x0, False, 1)
+
+
+def lossless_residual(bundle, model, design, horizon, seed):
+    """Largest ||sum_i F_i xi_i(k) - xhat(k)|| / (1 + ||xhat(k)||) over
+    the horizon, from zero states, with plant noise from default_rng(seed)."""
+    _, _, xhat, xbreve, _, _ = isolated_nodes(
+        model, design, bundle, np.random.default_rng(seed), horizon, np.zeros(model.n))
+    size = 1.0 + np.linalg.norm(xhat, axis=1)
+    return float(np.max(np.linalg.norm(xbreve.mean(axis=1) - xhat, axis=1) / size))

@@ -14,12 +14,14 @@ from distkf.errors import InfeasibleConditionError
 
 from conftest import (
     heat_grid,
+    kernel_run,
     matrix_with_spectrum,
     random_connected_graph,
     random_observable_model,
     random_spectrum,
     trial_config,
 )
+from loop_kernels import lossless_residual
 
 
 def _report(num, name, detail):
@@ -38,21 +40,15 @@ def test_criterion_1_losslessness(example1, example2_design):
         model = random_observable_model(rng)  # n <= 5, m <= 6
         design = distkf.design_kalman(model)
         bundle = distkf.build_bundle(model, design)
-        rep = distkf.verify_lossless(
-            bundle, model, design, horizon=200, seed=int(rng.integers(1 << 31)), tol=1e-7
-        )
-        worst = max(worst, rep.max_relative_residual)
+        seed = int(rng.integers(1 << 31))
+        worst = max(worst, lossless_residual(bundle, model, design, 200, seed))
     for sc, designs in (example1, example2_design):
-        rep = distkf.verify_lossless(
-            designs.bundle, sc.model, designs.kalman, horizon=200, seed=5, tol=1e-7
-        )
-        worst = max(worst, rep.max_relative_residual)
+        worst = max(worst, lossless_residual(designs.bundle, sc.model, designs.kalman, 200, 5))
     for seed in (11, 12):
         model, _ = heat_grid(seed)
         design = distkf.design_kalman(model)
         bundle = distkf.build_bundle(model, design)
-        rep = distkf.verify_lossless(bundle, model, design, horizon=200, seed=seed, tol=1e-7)
-        worst = max(worst, rep.max_relative_residual)
+        worst = max(worst, lossless_residual(bundle, model, design, 200, seed))
     assert worst <= 1e-7
     _report(1, "losslessness", f"max stepwise residual {worst:.2e} over 54 systems x 200 steps")
 
@@ -230,13 +226,9 @@ def test_criterion_8_message_complexity(example1, example2_design):
         n, m = sc.model.n, sc.model.m
         variant = distkf.resolve_variant("auto", n, m)
         assert distkf.message_dimension(variant, n, m) == min(n, m)
-        node = distkf.init_node(variant, n, m, 0)
-        if variant == "alg1":
-            node = distkf.step_node_alg1(node, d.bundle, d.consensus, [], 1.0)
-        else:
-            node = distkf.step_node_alg2(node, d.reduced, d.bundle, d.consensus, [], 1.0)
-        payload = np.asarray(node.msg).tobytes()
-        assert len(payload) == 8 * min(n, m)
+        # node 0 broadcasts its consensus state, as the kernel returns it, times Gamma
+        state = kernel_run(sc.model, d, trial_config(sc, horizon=3, variant=variant))[5]
+        assert len((state[0] @ d.consensus.Gamma).tobytes()) == 8 * min(n, m)
     _report(8, "message complexity",
             "payload length = min(m, n) doubles on both scenarios; auto picks the smaller")
 

@@ -188,7 +188,7 @@ class TestAnalyticSkippedForUnmodeledRuns:
 
 
 class TestBadSimOptions:
-    """Link-drop probability outside [0, 1), negative seeds and horizons,
+    """Link-drop probability outside [0, 1), negative seeds, horizons below 1,
     and non-numeric or malformed sim, graph and design values end with
     exit 2 and exactly one error line on stderr, never a traceback or a
     warning, from flags and from scenario JSON."""
@@ -217,7 +217,7 @@ class TestBadSimOptions:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
     @pytest.mark.parametrize("sim", [
-        {"drop_prob": 1.0}, {"seed": -3}, {"seed": "abc"}, {"horizon": -1},
+        {"drop_prob": 1.0}, {"seed": -3}, {"seed": "abc"}, {"horizon": -1}, {"horizon": 0},
     ])
     def test_scenario_json(self, tmp_path, sim):
         cfg = write_config(tmp_path / "c.json", sim={"horizon": 10, "trials": 1, **sim})

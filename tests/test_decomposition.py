@@ -6,15 +6,11 @@ from numpy.testing import assert_allclose
 
 import distkf
 from distkf import decomposition, numerics
-from distkf.errors import (
-    ConfigError,
-    IllConditionedError,
-    LosslessViolationError,
-    PoleClashError,
-)
+from distkf.errors import ConfigError, IllConditionedError, PoleClashError
 from distkf.kalman import KalmanDesign
 
 from conftest import heat_grid, random_observable_model
+from loop_kernels import isolated_nodes, lossless_residual
 
 
 def fake_design(Acl):
@@ -258,8 +254,7 @@ class TestModalIdentities:
             designs = distkf.design_pipeline(model, distkf.ring_graph(n + 1), variant=variant)
         assert np.any(designs.bundle.modal.link)
         assert_modal_identities(designs.bundle, designs.kalman, split)
-        rep = distkf.verify_lossless(designs.bundle, model, designs.kalman, horizon=200, tol=1e-10)
-        assert rep.max_relative_residual <= 1e-10
+        assert lossless_residual(designs.bundle, model, designs.kalman, 200, 0) <= 1e-10
         _assert_impulse_match(designs.bundle, designs.reduced, steps=50)
         assert np.all(designs.consensus.spectral_radii < 1.0)
 
@@ -316,11 +311,11 @@ class TestStepLocalFilter:
         sc, designs = example1
         b = designs.bundle
         rng = np.random.default_rng(83)
-        x = rng.standard_normal(2)
+        x0 = rng.standard_normal(2)
+        y_all = isolated_nodes(sc.model, designs.kalman, b, rng, 220, x0)[1]
         xi = np.zeros((4, 2))
         ys, zs = [], []
-        for k in range(220):
-            x, y = distkf.step_truth(sc.model, x, rng)
+        for y in y_all[1:]:
             z = y - xi @ b.beta
             xi = xi @ b.S.T + np.outer(z, np.ones(2))
             ys.append(y)
@@ -331,7 +326,7 @@ class TestStepLocalFilter:
         assert zs[-50:].var(axis=0).max() < 5 * max(zs[20:70].var(axis=0).max(), 1.0)
 
 
-class TestVerifyLossless:
+class TestLossless:
     def test_zero_noise_zero_everything(self):
         model = distkf.SystemModel(
             A=np.diag([0.9, 1.1]),
@@ -342,13 +337,11 @@ class TestVerifyLossless:
         noisy = distkf.build_system(model.A, model.C, 0.25 * np.eye(2), 4 * np.eye(4))
         design = distkf.design_kalman(noisy)
         bundle = distkf.build_bundle(noisy, design)
-        report = distkf.verify_lossless(bundle, model, design, horizon=50, seed=1)
-        assert report.max_relative_residual == 0.0
+        assert lossless_residual(bundle, model, design, 50, 1) == 0.0
 
     def test_ring_example(self, example1):
         sc, designs = example1
-        report = distkf.verify_lossless(designs.bundle, sc.model, designs.kalman, horizon=200, seed=9)
-        assert report.max_relative_residual <= 1e-7
+        assert lossless_residual(designs.bundle, sc.model, designs.kalman, 200, 9) <= 1e-7
 
     def test_random_systems(self):
         rng = np.random.default_rng(89)
@@ -356,7 +349,8 @@ class TestVerifyLossless:
             model = random_observable_model(rng)
             design = distkf.design_kalman(model)
             bundle = distkf.build_bundle(model, design)
-            distkf.verify_lossless(bundle, model, design, horizon=200, seed=int(rng.integers(1 << 31)))
+            seed = int(rng.integers(1 << 31))
+            assert lossless_residual(bundle, model, design, 200, seed) <= 1e-7
 
     def test_violation_detected(self, example1):
         sc, designs = example1
@@ -364,18 +358,17 @@ class TestVerifyLossless:
         broken = distkf.DecompositionBundle(
             Lambda=b.Lambda, beta=b.beta, S=b.S, F=1.01 * b.F, G=b.G, phiS=b.phiS
         )
-        with pytest.raises(LosslessViolationError):
-            distkf.verify_lossless(broken, sc.model, designs.kalman, horizon=50, seed=2)
+        assert lossless_residual(broken, sc.model, designs.kalman, 50, 2) > 1e-7
 
 
-def _tracking_errors(model, bundle, split, horizon, seed):
+def _tracking_errors(model, design, bundle, split, horizon, seed):
     rng = np.random.default_rng(seed)
     n, m = model.n, model.m
-    x = rng.standard_normal(n)
+    x0 = rng.standard_normal(n)
+    plant_x, plant_y = isolated_nodes(model, design, bundle, rng, horizon, x0)[:2]
     xi = np.zeros((m, n))
     eps = []
-    for _ in range(horizon):
-        x, y = distkf.step_truth(model, x, rng)
+    for x, y in zip(plant_x[1:], plant_y[1:]):
         z = y - xi @ bundle.beta
         xi = xi @ bundle.S.T + np.outer(z, np.ones(n))
         xsplit = split.Vinv @ x
@@ -388,7 +381,7 @@ class TestTrackingErrorStability:
         # eps_i = G_i (x in split coordinates) - xi_i stays bounded; the
         # horizon keeps 1.1^k inside the float cancellation budget
         sc, designs = example1
-        eps = _tracking_errors(sc.model, designs.bundle, designs.split, 250, 97)
+        eps = _tracking_errors(sc.model, designs.kalman, designs.bundle, designs.split, 250, 97)
         early = eps[50:150].var(axis=0).max()
         late = eps[150:250].var(axis=0).max()
         assert late < 5 * max(early, 1.0)
@@ -403,7 +396,7 @@ class TestTrackingErrorStability:
         design = distkf.design_kalman(model)
         split = distkf.split_model(model)
         bundle = distkf.build_bundle(model, design, split=split)
-        eps = _tracking_errors(model, bundle, split, 500, 103)
+        eps = _tracking_errors(model, design, bundle, split, 500, 103)
         early = eps[100:300].var(axis=0).max()
         late = eps[300:500].var(axis=0).max()
         assert late < 5 * max(early, 1.0)
@@ -504,7 +497,7 @@ class TestDeadbeatPlant:
         design = distkf.design_kalman(model)
         bundle = distkf.build_bundle(model, design)
         assert abs(np.linalg.eigvals(bundle.S)[0]) > 1e-3
-        distkf.verify_lossless(bundle, model, design, horizon=100, seed=0)
+        assert lossless_residual(bundle, model, design, 100, 0) <= 1e-7
 
 
 class TestLargeSystemConstruction:
@@ -540,14 +533,11 @@ class TestHeatLosslessness:
 
     def test_example2(self, example2_design):
         sc, designs = example2_design
-        rep = distkf.verify_lossless(designs.bundle, sc.model, designs.kalman, horizon=200,
-                                     seed=3, tol=1e-10)
-        assert rep.max_relative_residual <= 1e-10
+        assert lossless_residual(designs.bundle, sc.model, designs.kalman, 200, 3) <= 1e-10
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_heat_grids(self, seed):
         model, _ = heat_grid(seed)
         design = distkf.design_kalman(model)
         bundle = distkf.build_bundle(model, design)
-        rep = distkf.verify_lossless(bundle, model, design, horizon=200, seed=seed, tol=1e-10)
-        assert rep.max_relative_residual <= 1e-10
+        assert lossless_residual(bundle, model, design, 200, seed) <= 1e-10

@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 from scipy import linalg
 
 import distkf
-from distkf import numerics
+from distkf import _kernels, numerics
+from distkf.decomposition import psd_factor
 from distkf.errors import NotDetectableError
 
 from conftest import random_observable_model
@@ -68,27 +69,14 @@ class TestDesignKalman:
             assert_allclose(P, d.Sigma, atol=1e-6 * (1 + np.linalg.norm(d.Sigma)))
 
 
-class TestStepCentralized:
-    def test_zero(self):
-        d = distkf.design_kalman(scalar_model(0.0))
-        assert_allclose(distkf.step_centralized(d, np.zeros(1), np.zeros(1)), [0.0])
-
-    def test_scalar_unstable_case(self):
-        d = distkf.design_kalman(scalar_model(1.0))
-        out = distkf.step_centralized(d, np.array([1.0]), np.array([1.0]))
-        # Acl + K = (1 - K) + K = 1 for A = C = 1
-        assert_allclose(out, [1.0], rtol=1e-12)
-
+class TestClosedLoop:
     def test_innovation_form_identity(self):
+        # Acl xhat + K y = A xhat + K (y - C A xhat)
         rng = np.random.default_rng(41)
         model = random_observable_model(rng, n=3, m=2)
         d = distkf.design_kalman(model)
-        for _ in range(10):
-            xhat = rng.standard_normal(3)
-            y = rng.standard_normal(2)
-            lhs = distkf.step_centralized(d, xhat, y)
-            rhs = model.A @ xhat + d.K @ (y - model.C @ model.A @ xhat)
-            assert_allclose(lhs, rhs, atol=1e-12 * (1 + np.linalg.norm(rhs)))
+        want = model.A - d.K @ model.C @ model.A
+        assert_allclose(d.Acl, want, atol=1e-12 * (1 + np.linalg.norm(want)))
 
 
 class TestLocalKF:
@@ -126,20 +114,19 @@ class TestOrthogonality:
     def test_innovation_uncorrelated_with_estimate(self, example1):
         # steady state: innovation at k+1 is orthogonal to the estimate at k
         sc, designs = example1
-        d = designs.kalman
-        rng = np.random.default_rng(53)
+        model, b = sc.model, designs.bundle
         trials, burn = 400, 60
-        prods = []
-        for _ in range(trials):
-            x = rng.standard_normal(2)
-            xhat = np.zeros(2)
-            for k in range(burn + 1):
-                x, y = distkf.step_truth(sc.model, x, rng)
-                innov = y - sc.model.C @ sc.model.A @ xhat
-                if k == burn:
-                    prods.append(np.outer(innov, xhat))
-                xhat = distkf.step_centralized(d, xhat, y)
-        prods = np.array(prods)
+        # per trial, x(0) and then w(k), v(k) for k = 0..burn, in draw order
+        z = np.random.default_rng(53).standard_normal((trials, 2 + 6 * (burn + 1)))
+        wv = z[:, 2:].reshape(trials, burn + 1, 6)
+        w, v = wv[..., :2] @ psd_factor(model.Q).T, wv[..., 2:] @ psd_factor(model.R).T
+        _, y, xhat = _kernels.sim_alg1(
+            model.A, model.C, designs.kalman.Acl, designs.kalman.K, b.S, b.beta, b.F,
+            designs.consensus.Gamma, np.zeros((1, 1, 1, 4, 4)), w, np.zeros((trials, 4)), v,
+            z[:, :2], False,
+        )[:3]
+        innov = y[:, burn + 1] - xhat[:, burn] @ (model.C @ model.A).T
+        prods = innov[:, :, None] * xhat[:, burn, None, :]
         mean = prods.mean(axis=0)
         stderr = prods.std(axis=0, ddof=1) / np.sqrt(trials)
         assert np.all(np.abs(mean) <= 3.0 * stderr + 1e-12)

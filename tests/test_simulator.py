@@ -6,10 +6,9 @@ from numpy.testing import assert_allclose
 
 import distkf
 from distkf import _kernels, simulator
-from distkf.decomposition import psd_factor
 from distkf.errors import ConfigError
 
-from conftest import heat_grid, matrix_with_spectrum, trial_config
+from conftest import heat_grid, kernel_args, kernel_run, matrix_with_spectrum, trial_config
 from loop_kernels import sim_alg1_loops, sim_alg2_loops
 
 
@@ -29,28 +28,23 @@ class TestVariantSelection:
         assert distkf.message_dimension("alg2", 2, 4) == 2
 
 
-class TestStepTruth:
-    def test_deterministic_when_noiseless(self):
-        model = distkf.SystemModel(
-            A=np.diag([0.9, 1.1]), C=np.eye(2), Q=np.zeros((2, 2)), R=np.zeros((2, 2))
-        )
-        rng = np.random.default_rng(0)
-        x = np.array([1.0, 1.0])
-        for k in range(1, 6):
-            x, y = distkf.step_truth(model, x, rng)
-            assert_allclose(x, [0.9**k, 1.1**k], rtol=1e-12)
-            assert_allclose(y, x, rtol=1e-12)
+class TestPlantNoise:
+    def test_deterministic_when_noiseless(self, example1):
+        sc, designs = example1
+        model = replace(sc.model, Q=np.zeros((2, 2)), R=np.zeros((4, 4)))
+        tr = distkf.run_trial(model, designs, trial_config(sc, horizon=5, seed=0))
+        for k in range(6):
+            assert_allclose(tr.x[k], np.linalg.matrix_power(model.A, k) @ tr.x[0], rtol=1e-12)
+        assert_allclose(tr.y, tr.x @ model.C.T, rtol=1e-12)
 
-    def test_noise_covariance_recovered(self):
+    def test_noise_covariance_recovered(self, example1):
+        sc, designs = example1
         Q = np.array([[0.5, 0.2], [0.2, 0.4]])
-        model = distkf.SystemModel(A=np.zeros((2, 2)), C=np.eye(2), Q=Q, R=np.eye(2))
-        rng = np.random.default_rng(3)
-        N = 100_000
-        ws = np.empty((N, 2))
-        x = np.zeros(2)
-        for k in range(N):
-            xn, _ = distkf.step_truth(model, x, rng)
-            ws[k] = xn  # A = 0, so x_next is exactly w
+        model = replace(sc.model, Q=Q)
+        tr = distkf.run_trial(model, designs, trial_config(sc, horizon=100),
+                              seeds=[(3, t) for t in range(1000)])
+        ws = (tr.x[:, 1:] - tr.x[:, :-1] @ model.A.T).reshape(-1, 2)
+        N = len(ws)
         emp = ws.T @ ws / N
         for a in range(2):
             for b in range(2):
@@ -114,44 +108,6 @@ class TestRunTrial:
             )
 
 
-def _trial_inputs(model, designs, cfg):
-    """Replay the noise and link weights run_trial draws for ``cfg``."""
-    noise_ss, link_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    rng = np.random.Generator(np.random.Philox(noise_ss))
-    Lq, Lr = psd_factor(model.Q), psd_factor(model.R)
-    x0 = psd_factor(cfg.initial_state_cov) @ rng.standard_normal(model.n)
-    w = rng.standard_normal((cfg.horizon, model.n)) @ Lq.T
-    v = rng.standard_normal((cfg.horizon + 1, model.m)) @ Lr.T
-    gains = cfg.strategy.sample_gains(designs.graph.adjacency, cfg.horizon, cfg.rounds_per_sample,
-                                      np.random.Generator(np.random.Philox(link_ss)))
-    return x0, w, v, gains
-
-
-def _kernel_args(model, designs, cfg):
-    """Positional arguments of the variant's kernel for ``cfg``, without
-    the trailing replace_own."""
-    x0, w, v, gains = _trial_inputs(model, designs, cfg)
-    if cfg.variant == "alg1":
-        blocks = designs.bundle.F
-    else:
-        blocks = np.stack([designs.reduced.T_blocks(i) for i in range(model.m)])
-    kd = designs.kalman
-    return (model.A, model.C, kd.Acl, kd.K, designs.bundle.S, designs.bundle.beta, blocks,
-            designs.consensus.Gamma, gains, w, v[0], v[1:], x0)
-
-
-# alg1 over static links without replace_own is
-# test_stepwise_identities_and_kernel_match
-_STEP_CASES = {
-    "alg1-drop": dict(variant="alg1", strategy=distkf.bernoulli_drop_strategy(0.3)),
-    "alg1-static-replace_own": dict(variant="alg1", replace_own=True),
-    "alg1-drop-replace_own": dict(
-        variant="alg1", strategy=distkf.bernoulli_drop_strategy(0.3), replace_own=True
-    ),
-    "alg2-static": dict(variant="alg2"),
-    "alg2-drop": dict(variant="alg2", strategy=distkf.bernoulli_drop_strategy(0.3)),
-}
-
 _LOOP_CASES = {
     "alg1-static-1": dict(variant="alg1"),
     "alg1-drop-3": dict(variant="alg1", strategy=distkf.bernoulli_drop_strategy(0.2),
@@ -163,6 +119,16 @@ _LOOP_CASES = {
     "alg2-static-2": dict(variant="alg2", rounds_per_sample=2),
     "alg2-drop-3": dict(variant="alg2", strategy=distkf.bernoulli_drop_strategy(0.2),
                         rounds_per_sample=3),
+}
+
+# and for the loop reference only: one round over drops, and replace_own
+_REFERENCE_CASES = {
+    **_LOOP_CASES,
+    "alg1-drop-1": dict(variant="alg1", strategy=distkf.bernoulli_drop_strategy(0.3)),
+    "alg1-static-1-replace_own": dict(variant="alg1", replace_own=True),
+    "alg1-drop-1-replace_own": dict(variant="alg1", strategy=distkf.bernoulli_drop_strategy(0.3),
+                                    replace_own=True),
+    "alg2-drop-1": dict(variant="alg2", strategy=distkf.bernoulli_drop_strategy(0.3)),
 }
 
 
@@ -184,79 +150,27 @@ def _block_S_design(eigs):
     return model, distkf.design_pipeline(model, graph, variant="alg2")
 
 
-class TestKernelAgainstStepFunctions:
-    def _step_network(self, sc, designs, cfg):
-        """Network simulation through the public single-node step API, on
-        the noise and link weights of the kernel run; checks the
-        consensus identities along the way."""
-        model = sc.model
-        n, m = model.n, model.m
-        tr = distkf.run_trial(model, designs, cfg)  # kernel result + same noise
-        gains = _trial_inputs(model, designs, cfg)[3]
-        nodes = [distkf.init_node(cfg.variant, n, m, i) for i in range(m)]
-        xhat = np.zeros(n)
-        xbreve = np.zeros_like(tr.xbreve)
-        for k in range(cfg.horizon):
-            y = tr.y[k + 1]
-            msgs = [distkf.simulator.node_message(nd, designs.consensus.Gamma) for nd in nodes]
-            weights = gains[k, 0]
-            new = []
-            for i in range(m):
-                neigh = [(weights[i, l], msgs[l]) for l in range(m) if weights[i, l] > 0]
-                if cfg.variant == "alg1":
-                    new.append(distkf.step_node_alg1(
-                        nodes[i], designs.bundle, designs.consensus, neigh, y[i],
-                        replace_own=cfg.replace_own,
-                    ))
-                else:
-                    new.append(distkf.step_node_alg2(
-                        nodes[i], designs.reduced, designs.bundle, designs.consensus, neigh, y[i]
-                    ))
-            nodes = new
-            xhat = distkf.step_centralized(designs.kalman, xhat, y)
-            if cfg.variant == "alg1":
-                # sum_i eta_{i,j} = xi_j
-                eta_sum = sum(nd.blocks for nd in nodes)
-                for j in range(m):
-                    assert np.linalg.norm(eta_sum[j] - nodes[j].xi) <= 1e-8 * (
-                        1 + np.linalg.norm(nodes[j].xi)
-                    )
-            if not cfg.replace_own:
-                # the node average is the centralized estimate
-                avg = sum(nd.xbreve for nd in nodes) / m
-                assert np.linalg.norm(avg - xhat) <= 1e-8 * (1 + np.linalg.norm(xhat))
-            xbreve[k + 1] = [nd.xbreve for nd in nodes]
-        return tr, xbreve
-
-    def test_stepwise_identities_and_kernel_match(self, example1):
-        sc, designs = example1
-        cfg = trial_config(sc, horizon=30, seed=21, variant="alg1")
-        tr, xbreve = self._step_network(sc, designs, cfg)
-        assert_allclose(tr.xbreve, xbreve, rtol=1e-10)
-
-    @pytest.mark.parametrize("case", list(_STEP_CASES), ids=list(_STEP_CASES))
-    def test_kernel_matches_step_network(self, example1, case):
-        sc, designs = example1
-        cfg = trial_config(sc, horizon=30, seed=31, **_STEP_CASES[case])
-        tr, xbreve = self._step_network(sc, designs, cfg)
-        assert_allclose(tr.xbreve, xbreve, rtol=1e-10)
-
-    @pytest.mark.parametrize("case", list(_LOOP_CASES), ids=list(_LOOP_CASES))
+class TestKernelAgainstLoopReference:
+    @pytest.mark.parametrize("case", list(_REFERENCE_CASES), ids=list(_REFERENCE_CASES))
     def test_kernel_matches_loop_reference(self, example1, case):
-        # the step functions run one consensus round per sample; the loop
-        # kernels cover every round count
         sc, designs = example1
-        cfg = trial_config(sc, horizon=25, seed=8, **_LOOP_CASES[case])
-        args = _kernel_args(sc.model, designs, cfg)
-        if cfg.variant == "alg1":
-            got = _kernels.sim_alg1(*args, cfg.replace_own)
-            want = sim_alg1_loops(*args, cfg.replace_own, cfg.rounds_per_sample)
-        else:
-            got = _kernels.sim_alg2(*args)
-            want = sim_alg2_loops(*args, False, cfg.rounds_per_sample)
+        cfg = trial_config(sc, horizon=25, seed=8, **_REFERENCE_CASES[case])
+        loops = sim_alg1_loops if cfg.variant == "alg1" else sim_alg2_loops
+        got = kernel_run(sc.model, designs, cfg)
+        want = loops(*kernel_args(sc.model, designs, cfg), cfg.replace_own, cfg.rounds_per_sample)
         for a, b in zip(got, want):
             # entries near zero carry the roundoff of the array's scale
             assert_allclose(a, b, rtol=1e-10, atol=1e-10 * np.max(np.abs(b)))
+        xhat, xbreve = got[2:4]
+        if not cfg.replace_own:
+            # the node average is the centralized estimate at every step
+            gap = np.linalg.norm(xbreve.mean(axis=1) - xhat, axis=1)
+            assert np.all(gap <= 1e-8 * (1 + np.linalg.norm(xhat, axis=1)))
+        if cfg.variant == "alg1":
+            # sum_i eta_ij = xi_j: consensus keeps the sum of the copies
+            xi, eta = want[4:]
+            gap = np.linalg.norm(eta.sum(axis=0) - xi, axis=1)
+            assert np.all(gap <= 1e-8 * (1 + np.linalg.norm(xi, axis=1)))
         tr = distkf.run_trial(sc.model, designs, cfg)
         assert np.array_equal(tr.xbreve, got[3])
 
@@ -273,7 +187,7 @@ class TestKernelAgainstStepFunctions:
         cfgs = [distkf.TrialConfig(horizon=25, seed=(3, t), variant=variant,
                                    replace_own=replace_own, rounds_per_sample=2,
                                    initial_state_cov=np.eye(3)) for t in range(3)]
-        args = [_kernel_args(model, designs, cfg) for cfg in cfgs]
+        args = [kernel_args(model, designs, cfg) for cfg in cfgs]
         if variant == "alg1":
             kernel, loops, flag = _kernels.sim_alg1, sim_alg1_loops, (True,)
         else:
@@ -282,41 +196,34 @@ class TestKernelAgainstStepFunctions:
         # the model and design matrices are shared; noise and links stack
         batched = kernel(*args[0][:8], *(np.stack(z) for z in zip(*(a[8:] for a in args))),
                          *flag)
-        for t, (a, want) in enumerate(zip(args, wants)):
-            for one, many, ref in zip(kernel(*a, *flag), batched, want):
+        for t, (cfg, want) in enumerate(zip(cfgs, wants)):
+            for one, many, ref in zip(kernel_run(model, designs, cfg), batched, want):
                 tol = dict(rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
                 assert_allclose(one, ref, **tol)
                 assert_allclose(many[t], ref, **tol)
 
-    def test_alg2_single_node_matches_alg1_fusion(self, example1):
-        # with one node and no neighbors both variants reproduce the same
-        # fused output (same transfer function from z to the estimate)
+    def test_isolated_alg2_matches_alg1_fusion(self, example1):
+        # with every link cut both variants reproduce the same fused output
+        # (same transfer function from z to the estimate)
         sc, designs = example1
-        n, m = 2, 4
-        rng = np.random.default_rng(23)
-        node1 = distkf.init_node("alg1", n, m, 0)
-        node2 = distkf.init_node("alg2", n, m, 0)
-        for _ in range(40):
-            y = rng.standard_normal()
-            node1 = distkf.step_node_alg1(node1, designs.bundle, designs.consensus, [], y)
-            node2 = distkf.step_node_alg2(
-                node2, designs.reduced, designs.bundle, designs.consensus, [], y
-            )
-            # single-node alg1: block i reproduces the local filter, others stay 0
-            assert_allclose(node1.blocks[0], node1.xi, atol=1e-10)
-            assert_allclose(node1.blocks[1:], 0.0, atol=1e-12)
-            assert_allclose(node1.xbreve, node2.xbreve, atol=1e-7)
+        args = list(kernel_args(sc.model, designs, trial_config(sc, horizon=40, seed=23,
+                                                                variant="alg2")))
+        args[8] = np.zeros_like(args[8])
+        xbreve2 = sim_alg2_loops(*args, False, 1)[3]
+        args[6] = designs.bundle.F
+        _, _, _, xbreve1, xi, eta = sim_alg1_loops(*args, False, 1)
+        # alg1: node i's own block is its local filter, the others stay 0
+        own = np.eye(4, dtype=bool)
+        assert_allclose(eta[own], xi, atol=1e-10)
+        assert_allclose(eta[~own], 0.0, atol=1e-12)
+        assert_allclose(xbreve1, xbreve2, atol=1e-10)
 
     def test_message_sizes(self, example1, example2_design):
-        sc1, d1 = example1
-        assert distkf.init_node("alg2", 2, 4, 0).msg.shape == (2,)
-        node = distkf.init_node("alg2", 2, 4, 0)
-        node = distkf.step_node_alg2(node, d1.reduced, d1.bundle, d1.consensus, [], 1.0)
-        assert node.msg.shape == (2,)  # alg2 broadcasts n values
-        sc2, d2 = example2_design
-        node = distkf.init_node("alg1", 25, 15, 3)
-        node = distkf.step_node_alg1(node, d2.bundle, d2.consensus, [], 1.0)
-        assert node.msg.shape == (15,)  # alg1 broadcasts m values
+        # node i broadcasts its consensus state times Gamma: n values under
+        # alg2 (example1), m under alg1 (example2)
+        for (sc, d), variant, size in ((example1, "alg2", 2), (example2_design, "alg1", 15)):
+            state = kernel_run(sc.model, d, trial_config(sc, horizon=3, variant=variant))[5]
+            assert (state @ d.consensus.Gamma).shape == (sc.model.m, size)
 
 
 class TestReplaceOwn:
@@ -338,7 +245,7 @@ class TestReplaceOwn:
 
 def _run_kernel(sc, designs, replace_own):
     cfg = trial_config(sc, horizon=25, seed=5, variant="alg1", replace_own=replace_own)
-    return _kernels.sim_alg1(*_kernel_args(sc.model, designs, cfg), replace_own)
+    return kernel_run(sc.model, designs, cfg)
 
 
 class TestConsensusDecay:
