@@ -12,14 +12,12 @@ from .analysis import (
     CovarianceReport,
     asymptotic_covariance,
     build_augmented,
-    empirical_covariance,
     performance_ratios,
 )
 from .consensus import (
     BernoulliDropStrategy,
     ConsensusDesign,
     StaticStrategy,
-    SyncStrategy,
     bernoulli_drop_strategy,
     check_condition,
     compute_gamma,

@@ -1,5 +1,5 @@
 """Closed-form steady-state covariance of the distributed estimator and
-empirical comparison metrics.
+per-sensor performance ratios.
 
 The stacked node deviations from the network average, the local-filter
 tracking errors, and the stable plant substate together form a stable
@@ -320,32 +320,6 @@ def performance_ratios(node_covs, local_designs, Ppost: np.ndarray):
         rho2 = float(np.trace(cov)) / tr_p
         out.append((rho1, rho2))
     return out
-
-
-def empirical_covariance(traces, steps):
-    """Sample covariance of per-node errors over trials at given steps.
-
-    ``traces``: >= 2 SimulationTrace objects from independent trials.
-    ``steps``: selector (slice or index array) over trace steps; samples
-    are pooled across the selected steps of each trial.
-
-    Returns (cov, stderr): per-node covariance estimates (m, n, n) and
-    batch-means standard errors of the same shape.
-    """
-    traces = list(traces)
-    if len(traces) < 2:
-        raise ConfigError("empirical covariance needs at least 2 trials")
-    per_trial = []
-    for tr in traces:
-        err = tr.errors[steps]              # (k, m, n)
-        per_trial.append(np.einsum("kma,kmb->mab", err, err) / err.shape[0])
-    per_trial = np.array(per_trial)         # (trials, m, n, n)
-    cov = per_trial.mean(axis=0)
-    n_batches = min(10, len(traces))
-    batches = np.array_split(np.arange(len(traces)), n_batches)
-    bm = np.array([per_trial[b].mean(axis=0) for b in batches])
-    stderr = bm.std(axis=0, ddof=1) / np.sqrt(n_batches)
-    return cov, stderr
 
 
 def report_to_dict(report: CovarianceReport) -> dict:

@@ -1,4 +1,5 @@
-"""Consensus coupling design and pluggable synchronization strategies.
+"""Consensus coupling design and the two link models: static links and
+Bernoulli link drops.
 
 Feasibility hinges on the Mahler measure of the local-filter matrix S
 (the product of its unstable eigenvalue moduli) against the graph bound
@@ -15,7 +16,6 @@ comes from the rank-one modified algebraic Riccati equation on ``S_u``
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,30 +219,22 @@ def design_consensus(S: np.ndarray, graph: SensorGraph, zeta: float | None = Non
     )
 
 
-class SyncStrategy(abc.ABC):
-    """Synchronization strategy: owns the per-link coefficients
-    gamma_ij(k) applied to the consensus coupling."""
-
-    @abc.abstractmethod
-    def sample_gains(self, adjacency: np.ndarray, horizon: int, rounds: int, rng) -> np.ndarray:
-        """Effective link weights a_ij * gamma_ij for every step and
-        consensus round, shape (horizon, rounds, m, m), symmetric.
-        Random draws come from the Generator ``rng``, the trial's link
-        stream.  The result may be a read-only view."""
-
-
 @dataclass(frozen=True, eq=False)
-class StaticStrategy(SyncStrategy):
+class StaticStrategy:
     """Perfect links: gamma_ij(k) = 1 for every edge and step."""
 
     def sample_gains(self, adjacency, horizon, rounds, rng=None):
+        """Effective link weights a_ij * gamma_ij for every step and
+        consensus round, shape (horizon, rounds, m, m), symmetric.  Random
+        draws come from the Generator ``rng``, the trial's link stream.
+        The result may be a read-only view."""
         adjacency = np.asarray(adjacency, dtype=float)
         m = adjacency.shape[0]
         return np.broadcast_to(adjacency, (horizon, rounds, m, m))
 
 
 @dataclass(frozen=True, eq=False)
-class BernoulliDropStrategy(SyncStrategy):
+class BernoulliDropStrategy:
     """I.i.d. symmetric link failures: each undirected edge fails as a
     whole with probability ``drop_prob``, independently across edges,
     steps, and consensus rounds, and independently of all plant noise.

@@ -68,7 +68,5 @@ def design_local_kf(model: SystemModel, sensor: int) -> KalmanDesign:
     """
     Ci = model.sensor_row(sensor)
     Ri = model.R[sensor : sensor + 1, sensor : sensor + 1]
-    if not numerics.is_detectable(model.A, Ci):
-        raise NotDetectableError(f"sensor {sensor} cannot observe the unstable subspace")
     return _design(model.A, Ci, model.Q, Ri)
 

@@ -55,8 +55,7 @@ def is_observable(A: np.ndarray, C: np.ndarray) -> bool:
 
 def is_detectable(A: np.ndarray, C: np.ndarray) -> bool:
     """PBH test restricted to eigenvalues on or outside the unit circle."""
-    ev = np.linalg.eigvals(A)
-    return _pbh_ok(A, C, ev[np.abs(ev) >= 1.0 - UNIT_CIRCLE_TOL])
+    return _pbh_ok(A, C, unstable_eigvals(A))
 
 
 def solve_dare(A: np.ndarray, C: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -101,9 +100,10 @@ class SpectralSplit(NamedTuple):
 def spectral_split(A: np.ndarray) -> SpectralSplit:
     """Similarity transform isolating the (marginally) unstable subspace.
 
-    Ordered real Schur form puts the unstable eigenvalues in the leading
-    block; a Sylvester solve then removes the off-diagonal coupling so the
-    transformed matrix is block diagonal.  Either block may be empty.
+    Ordered real Schur form counts the unstable eigenvalues.  When A is
+    all stable or all unstable the basis is the identity and the blocks
+    are A's own, one of them empty.  Otherwise a Sylvester solve removes
+    the coupling of the Schur form, whose leading block is unstable.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
@@ -112,15 +112,16 @@ def spectral_split(A: np.ndarray) -> SpectralSplit:
     T, Z, nu = linalg.schur(
         A, output="real", sort=lambda re, im: np.hypot(re, im) >= thresh
     )
+    if nu in (0, n):
+        return SpectralSplit(np.eye(n), np.eye(n), A[:nu, :nu].copy(), A[nu:, nu:].copy())
     T11 = T[:nu, :nu]
     T22 = T[nu:, nu:]
+    # zero the coupling: T11 X - X T22 = -T12
+    X = linalg.solve_sylvester(T11, -T22, -T[:nu, nu:])
     M = np.eye(n)
-    if 0 < nu < n:
-        # zero the coupling: T11 X - X T22 = -T12
-        X = linalg.solve_sylvester(T11, -T22, -T[:nu, nu:])
-        M[:nu, nu:] = X
+    M[:nu, nu:] = X
     Minv = np.eye(n)
-    Minv[:nu, nu:] = -M[:nu, nu:]
+    Minv[:nu, nu:] = -X
     V = Z @ M
     Vinv = Minv @ Z.T
     return SpectralSplit(V, Vinv, T11.copy(), T22.copy())

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,38 +108,16 @@ class SplitModel:
         return self.As.shape[0]
 
 
-def _already_block_ordered(A, nu) -> bool:
-    n = A.shape[0]
-    if nu in (0, n):
-        # fully stable or fully unstable: identity basis always works
-        return True
-    if np.any(A[:nu, nu:] != 0.0) or np.any(A[nu:, :nu] != 0.0):
-        return False
-    lead = np.abs(np.linalg.eigvals(A[:nu, :nu]))
-    trail = np.abs(np.linalg.eigvals(A[nu:, nu:])) if nu < n else np.array([])
-    thresh = 1.0 - numerics.UNIT_CIRCLE_TOL
-    return bool(np.all(lead >= thresh) and (trail.size == 0 or np.all(trail < thresh)))
-
-
 def split_model(model: SystemModel) -> SplitModel:
     """Split the plant into unstable and stable spectral blocks.
 
-    If A is already block diagonal in the required order the basis is the
-    identity; otherwise an ordered Schur decomposition plus a Sylvester
-    solve produces the change of basis.
+    ``numerics.spectral_split`` gives the change of basis: the identity
+    when A is all stable or all unstable, otherwise an ordered Schur
+    decomposition plus a Sylvester solve.
     """
-    A, C = model.A, model.C
-    n = model.n
-    nu = int(np.sum(np.abs(np.linalg.eigvals(A)) >= 1.0 - numerics.UNIT_CIRCLE_TOL))
-    if _already_block_ordered(A, nu):
-        V = np.eye(n)
-        Vinv = np.eye(n)
-        Au = A[:nu, :nu].copy()
-        As = A[nu:, nu:].copy()
-    else:
-        V, Vinv, Au, As = numerics.spectral_split(A)
-    ns = n - nu
-    CV = C @ V
+    V, Vinv, Au, As = numerics.spectral_split(model.A)
+    nu, ns = Au.shape[0], As.shape[0]
+    CV = model.C @ V
     J = np.hstack([np.zeros((ns, nu)), np.eye(ns)])
     return SplitModel(V=V, Vinv=Vinv, Au=Au, As=As, Ciu=CV[:, :nu], Cis=CV[:, nu:], J=J)
 
@@ -151,7 +129,6 @@ class SensorGraph:
     adjacency: np.ndarray
     laplacian: np.ndarray
     mu: np.ndarray  # Laplacian eigenvalues, ascending
-    positions: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def m(self) -> int:
@@ -166,7 +143,7 @@ class SensorGraph:
         return float(self.mu[-1])
 
 
-def build_graph(adjacency, positions=None) -> SensorGraph:
+def build_graph(adjacency) -> SensorGraph:
     """Build a SensorGraph from a symmetric nonnegative adjacency matrix.
 
     Raises:
@@ -188,7 +165,7 @@ def build_graph(adjacency, positions=None) -> SensorGraph:
     if m > 1 and mu[1] <= _CONNECTIVITY_TOL:
         raise DisconnectedGraphError(f"graph is disconnected (mu_2 = {mu[1]:.2e})")
     mu[0] = 0.0
-    return SensorGraph(adjacency=A, laplacian=L, mu=mu, positions=positions)
+    return SensorGraph(adjacency=A, laplacian=L, mu=mu)
 
 
 def ring_graph(m: int, weight: float = 1.0) -> SensorGraph:
@@ -222,4 +199,4 @@ def random_geometric_graph(m: int, radius: float, seed: int) -> SensorGraph:
     """Seeded uniform placement on the unit square, radius connectivity."""
     rng = np.random.default_rng(seed)
     pos = rng.uniform(size=(m, 2))
-    return build_graph(geometric_adjacency(pos, radius), positions=pos)
+    return build_graph(geometric_adjacency(pos, radius))

@@ -63,8 +63,9 @@ class Scenario:
             raise ConfigError(f"drop_prob must lie in [0, 1), got {self.drop_prob}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be at least 1, got {self.horizon}")
+        for key in ("horizon", "trials", "rounds_per_sample"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
 
 
 def _matrix(obj, name):
@@ -91,7 +92,7 @@ def _graph_from_config(cfg: dict) -> SensorGraph:
         rng = np.random.default_rng(int(cfg["seed"]))
         box = float(cfg.get("box", 1.0))
         pos = rng.uniform(0.0, box, size=(int(cfg["m"]), 2))
-        return build_graph(geometric_adjacency(pos, float(cfg["radius"])), positions=pos)
+        return build_graph(geometric_adjacency(pos, float(cfg["radius"])))
     raise ConfigError(f"unknown graph kind {kind!r}")
 
 
@@ -237,7 +238,7 @@ def example2_scenario(trials: int = 2000, seed: int = 777) -> Scenario:
     Q = 0.2**2 * np.eye(N * N)
     R = 3.0**2 * np.eye(m)
     model = build_system(A, C, Q, R)
-    graph = build_graph(geometric_adjacency(positions, 2.4), positions=positions)
+    graph = build_graph(geometric_adjacency(positions, 2.4))
     return Scenario(
         name="example2",
         model=model,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .consensus import ConsensusDesign, StaticStrategy, SyncStrategy
+from .consensus import BernoulliDropStrategy, ConsensusDesign, StaticStrategy
 from .decomposition import DecompositionBundle, ReducedBundle, psd_factor
 from .errors import ConfigError
 from .kalman import KalmanDesign
@@ -68,7 +68,7 @@ class TrialConfig:
     horizon: int
     seed: object = 0  # int, tuple of ints, or numpy SeedSequence
     variant: str = "auto"
-    strategy: SyncStrategy = field(default_factory=StaticStrategy)
+    strategy: StaticStrategy | BernoulliDropStrategy = field(default_factory=StaticStrategy)
     replace_own: bool = False
     rounds_per_sample: int = 1
     initial_state_cov: np.ndarray | None = None

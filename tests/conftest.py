@@ -91,7 +91,7 @@ def heat_grid(seed, N=4, m=10, radius=2.0):
     A = distkf.heat_transition(N=N, alpha=0.2)
     C = distkf.interpolation_rows(pos, N=N, h=1.0)
     model = distkf.build_system(A, C, 0.04 * np.eye(N * N), 9.0 * np.eye(m))
-    graph = distkf.build_graph(distkf.geometric_adjacency(pos, radius), positions=pos)
+    graph = distkf.build_graph(distkf.geometric_adjacency(pos, radius))
     return model, graph
 
 

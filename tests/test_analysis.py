@@ -332,52 +332,6 @@ class TestOrthogonality:
         assert np.all(np.abs(mean) <= 3.0 * stderr + 1e-12)
 
 
-class TestEmpiricalCovariance:
-    def test_deterministic_traces_zero(self, example1):
-        sc, designs = example1
-        tr = distkf.run_trial(sc.model, designs, trial_config(sc, horizon=10, seed=1))
-        same = distkf.SimulationTrace(
-            x=tr.x, y=tr.y, xhat=tr.xhat, xbreve=np.repeat(tr.x[:, None, :], 4, axis=1),
-            variant=tr.variant, horizon=tr.horizon, seed=tr.seed,
-        )
-        cov, err = distkf.empirical_covariance([same, same], slice(5, 11))
-        assert_allclose(cov, 0.0, atol=1e-15)
-
-    def test_recovers_known_covariance(self):
-        rng = np.random.default_rng(41)
-        true_cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-        L = np.linalg.cholesky(true_cov)
-        traces = []
-        for _ in range(600):
-            err = rng.standard_normal((6, 3, 2)) @ L.T
-            x = np.zeros((6, 2))
-            traces.append(distkf.SimulationTrace(
-                x=x, y=np.zeros((6, 1)), xhat=x, xbreve=x[:, None, :] + err,
-                variant="alg1", horizon=5, seed=0,
-            ))
-        cov, stderr = distkf.empirical_covariance(traces, slice(0, 6))
-        for i in range(3):
-            assert np.all(np.abs(cov[i] - true_cov) <= 4.0 * stderr[i] + 0.05)
-
-    def test_agrees_with_analytic(self, example1):
-        sc, designs = example1
-        _, rep = build_report(sc, designs, "alg2")
-        traces = [
-            distkf.run_trial(sc.model, designs, trial_config(sc, seed=(55, t)))
-            for t in range(400)
-        ]
-        cov, _ = distkf.empirical_covariance(traces, slice(50, 101))
-        for i in range(4):
-            ana = rep.node_block(i)
-            assert np.max(np.abs(cov[i] - ana)) <= 0.12 * np.linalg.norm(ana, 2)
-
-    def test_requires_two_trials(self, example1):
-        sc, designs = example1
-        tr = distkf.run_trial(sc.model, designs, trial_config(sc, horizon=5, seed=1))
-        with pytest.raises(distkf.ConfigError):
-            distkf.empirical_covariance([tr], slice(0, 5))
-
-
 class TestPerformanceRatios:
     def test_none_for_undetectable(self, example1):
         sc, designs = example1

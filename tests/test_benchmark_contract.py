@@ -8,7 +8,10 @@ imported, so this test writes nothing under ``perfbench/``.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
+
+import pytest
 
 import distkf
 from distkf import decomposition
@@ -48,3 +51,45 @@ def test_augmented_system_has_Ar():
 def test_residual_hard_limit():
     # the child divides the F and G residuals by it
     assert decomposition._RESIDUAL_HARD_LIMIT > 0
+
+
+def _child_tree():
+    return ast.parse((PERFBENCH / "child.py").read_text())
+
+
+def _distkf_path(node):
+    """``("analysis", "report_to_dict")`` for ``distkf.analysis.report_to_dict``,
+    None when ``node`` does not read an attribute of ``distkf``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id == "distkf" and parts:
+        return tuple(reversed(parts))
+    return None
+
+
+def test_every_child_name_resolves():
+    # child.py reads distkf.<name> and distkf.analysis.<name>
+    paths = {_distkf_path(node) for node in ast.walk(_child_tree())}
+    paths = {p for p in paths if p and (len(p) == 1 or p[0] == "analysis")}
+    assert paths, "child.py reads no distkf names"
+    missing = []
+    for path in sorted(paths):
+        owner = distkf
+        for part in path:
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(".".join(("distkf",) + path))
+    assert not missing, missing
+
+
+@pytest.mark.parametrize("name", ["TrialConfig", "design_pipeline", "build_augmented"])
+def test_child_call_arguments_bind(name):
+    calls = [node for node in ast.walk(_child_tree())
+             if isinstance(node, ast.Call) and _distkf_path(node.func) == (name,)]
+    assert calls, f"child.py no longer calls distkf.{name}"
+    signature = inspect.signature(getattr(distkf, name))
+    for call in calls:
+        signature.bind_partial(*[None] * len(call.args),
+                               **{kw.arg: None for kw in call.keywords if kw.arg})

@@ -188,8 +188,8 @@ class TestAnalyticSkippedForUnmodeledRuns:
 
 
 class TestBadSimOptions:
-    """Link-drop probability outside [0, 1), negative seeds, horizons below 1,
-    and non-numeric or malformed sim, graph and design values end with
+    """Link-drop probability outside [0, 1), negative seeds, horizons,
+    trial counts or consensus rounds below 1, and non-numeric or malformed sim, graph and design values end with
     exit 2 and exactly one error line on stderr, never a traceback or a
     warning, from flags and from scenario JSON."""
 
@@ -207,6 +207,7 @@ class TestBadSimOptions:
         ["simulate", "--example", "example1", "--seed", "-1"],
         ["reproduce", "example1", "--drop", "1.0"],
         ["reproduce", "example1", "--seed", "-1"],
+        ["check", "--example", "example1", "--rounds", "0"],
     ])
     def test_flags(self, tmp_path, args):
         if args[0] == "simulate":
@@ -218,6 +219,7 @@ class TestBadSimOptions:
 
     @pytest.mark.parametrize("sim", [
         {"drop_prob": 1.0}, {"seed": -3}, {"seed": "abc"}, {"horizon": -1}, {"horizon": 0},
+        {"rounds_per_sample": 0}, {"trials": 0},
     ])
     def test_scenario_json(self, tmp_path, sim):
         cfg = write_config(tmp_path / "c.json", sim={"horizon": 10, "trials": 1, **sim})

@@ -6,7 +6,7 @@ from scipy.linalg import block_diag
 import distkf
 from distkf.errors import BadNoiseError, DimensionMismatchError, DisconnectedGraphError, NotObservableError
 
-from conftest import random_observable_model
+from conftest import matrix_with_spectrum, random_observable_model
 
 
 def ring_example_args():
@@ -60,11 +60,28 @@ class TestSplitModel:
         assert split.nu == 0
         assert_allclose(split.J, np.eye(3), atol=1e-12)
 
-    def test_already_ordered_gives_identity(self):
+    @pytest.mark.parametrize("eigs, nu", [([0.5, -0.3, 0.8], 0), ([1.2, -1.5, 1.0], 3)],
+                             ids=["all-stable", "all-unstable"])
+    def test_one_sided_spectrum_keeps_identity(self, eigs, nu):
+        # all stable or all unstable: identity basis, A's own blocks
+        rng = np.random.default_rng(7)
+        A = matrix_with_spectrum(rng, np.asarray(eigs, dtype=complex))
+        model = distkf.build_system(A, rng.standard_normal((2, 3)), 0.1 * np.eye(3), np.eye(2))
+        split = distkf.split_model(model)
+        assert split.nu == nu and split.ns == 3 - nu
+        assert np.array_equal(split.V, np.eye(3)) and np.array_equal(split.Vinv, np.eye(3))
+        assert np.array_equal(block_diag(split.Au, split.As), A)
+        assert np.array_equal(np.hstack([split.Ciu, split.Cis]), model.C)
+
+    def test_block_diagonal_plant_rebuilt(self):
+        # an already ordered plant goes through the Schur route like any other
         A = np.diag([1.2, 0.5])
         model = distkf.build_system(A, np.array([[1.0, 1.0]]), 0.1 * np.eye(2), [[1.0]])
         split = distkf.split_model(model)
-        assert_allclose(split.V, np.eye(2))
+        assert split.nu == 1 and split.ns == 1
+        assert_allclose(split.Vinv @ A @ split.V, block_diag(split.Au, split.As), atol=1e-12)
+        assert_allclose(split.V @ block_diag(split.Au, split.As) @ split.Vinv, A, atol=1e-12)
+        assert_allclose(split.Vinv @ split.V, np.eye(2), atol=1e-12)
 
     def test_heat_model_single_marginal_mode(self):
         A = distkf.heat_transition(N=5, alpha=0.2)

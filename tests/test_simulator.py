@@ -119,11 +119,6 @@ _LOOP_CASES = {
     "alg2-static-2": dict(variant="alg2", rounds_per_sample=2),
     "alg2-drop-3": dict(variant="alg2", strategy=distkf.bernoulli_drop_strategy(0.2),
                         rounds_per_sample=3),
-}
-
-# and for the loop reference only: one round over drops, and replace_own
-_REFERENCE_CASES = {
-    **_LOOP_CASES,
     "alg1-drop-1": dict(variant="alg1", strategy=distkf.bernoulli_drop_strategy(0.3)),
     "alg1-static-1-replace_own": dict(variant="alg1", replace_own=True),
     "alg1-drop-1-replace_own": dict(variant="alg1", strategy=distkf.bernoulli_drop_strategy(0.3),
@@ -151,10 +146,10 @@ def _block_S_design(eigs):
 
 
 class TestKernelAgainstLoopReference:
-    @pytest.mark.parametrize("case", list(_REFERENCE_CASES), ids=list(_REFERENCE_CASES))
+    @pytest.mark.parametrize("case", list(_LOOP_CASES), ids=list(_LOOP_CASES))
     def test_kernel_matches_loop_reference(self, example1, case):
         sc, designs = example1
-        cfg = trial_config(sc, horizon=25, seed=8, **_REFERENCE_CASES[case])
+        cfg = trial_config(sc, horizon=25, seed=8, **_LOOP_CASES[case])
         loops = sim_alg1_loops if cfg.variant == "alg1" else sim_alg2_loops
         got = kernel_run(sc.model, designs, cfg)
         want = loops(*kernel_args(sc.model, designs, cfg), cfg.replace_own, cfg.rounds_per_sample)
@@ -285,9 +280,11 @@ class TestBatchedTrials:
         assert batch.seed == seeds
         for t, seed in enumerate(seeds):
             one = distkf.run_trial(sc.model, designs, replace(cfg, seed=seed))
-            for name in ("x", "y", "xhat", "xbreve"):
-                assert_allclose(getattr(batch, name)[t], getattr(one, name), rtol=1e-12)
-            assert_allclose(batch.errors[t], one.errors, rtol=1e-12)
+            for name in ("x", "y", "xhat", "xbreve", "errors"):
+                want = getattr(one, name)
+                # entries near zero carry the roundoff of the array's scale
+                assert_allclose(getattr(batch, name)[t], want, rtol=1e-12,
+                                atol=1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("case", list(_LOOP_CASES), ids=list(_LOOP_CASES))
     def test_batched_monte_carlo_matches_trial_mean(self, example1, monkeypatch, case):
