@@ -65,7 +65,6 @@ from .plant import (
     build_system,
     complete_graph,
     geometric_adjacency,
-    random_geometric_graph,
     ring_graph,
     split_model,
 )

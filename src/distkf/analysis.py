@@ -4,11 +4,14 @@ per-sensor performance ratios.
 The stacked node deviations from the network average, the local-filter
 tracking errors, and the stable plant substate together form a stable
 linear system ``z+ = Ar z + Bw w + Bv v`` driven by the plant and
-measurement noise.  Its steady-state covariance W solves the Lyapunov
-equation ``W = Ar W Ar' + V``; projecting W through the read-out map
-yields the exact asymptotic covariance of the per-node deviations from
-the centralized Kalman estimate (Wbar), and adding the Kalman error
-covariance on every node block gives the full error covariance (Wbreve).
+measurement noise.  The stable substate ``x_s = V_s' x``, in the
+orthogonal Schur basis of ``plant.split_model``, evolves on its own and
+also drives the unstable substate through Aus.  The steady-state
+covariance W of z solves the Lyapunov equation ``W = Ar W Ar' + V``;
+projecting W through the read-out map yields the exact asymptotic
+covariance of the per-node deviations from the centralized Kalman
+estimate (Wbar), and adding the Kalman error covariance on every node
+block gives the full error covariance (Wbreve).
 
 That equation is never formed densely.  ``Ar = [[D, L Ec], [0, E]]`` is
 block upper-triangular:
@@ -164,16 +167,17 @@ def build_augmented(
         raise ConfigError(f"unknown variant {variant!r}")
     atoms = S - mu[1:, None, None] * (ones * consensus.Gamma)
 
+    nu, mn = split.nu, m * n
     Cbar = model.C @ split.V
     W_eps = np.vstack([bundle.G[i] - ones * Cbar[i] for i in range(m)])
     V_eps = -np.kron(np.eye(m), ones)
-    CsAs = split.Cis @ split.As
-    mn = m * n
+    # the residual sees x_s through Cx; the tracking rows also through G_i^u Aus
+    Cx = split.Ciu @ split.Aus + split.Cis @ split.As
     E = np.zeros((mn + ns, mn + ns))
     E[:mn, :mn] = np.kron(np.eye(m), Lam)
-    E[:mn, mn:] = V_eps @ CsAs
+    E[:mn, mn:] = V_eps @ Cx + (bundle.G[:, :, :nu] @ split.Aus).reshape(mn, ns)
     E[mn:, mn:] = split.As
-    Ec = np.hstack([np.kron(np.eye(m), bundle.beta.reshape(1, -1)), CsAs])
+    Ec = np.hstack([np.kron(np.eye(m), bundle.beta.reshape(1, -1)), Cx])
 
     # Ar is block upper-triangular, so its spectrum is the union of the
     # atoms' spectra, Lambda's and As'
@@ -184,8 +188,8 @@ def build_augmented(
         )
     return AugmentedSystem(
         atoms=atoms, copies=copies, phi=Phi[:, 1:], P=P, E=E, Ec=Ec,
-        Cw=Cbar @ split.Vinv,
-        Bw_e=np.vstack([W_eps, split.J]) @ split.Vinv,
+        Cw=model.C,
+        Bw_e=np.vstack([W_eps, np.eye(n)[nu:]]) @ split.V.T,
         Bv_e=np.vstack([V_eps, np.zeros((ns, m))]),
         F=F, variant=variant,
         block_dims=augmented_dims(n, m, ns, variant), spectral_radius=rho,
@@ -249,7 +253,8 @@ def asymptotic_covariance(
     Raises:
         NoConvergenceError: a block equation's residual exceeds
             ``1e-9 (1 + ||X||)``; the largest such ratio is the report's
-            ``residual``.
+            ``residual``.  Or a diagonal entry of Wbar lies below
+            ``-1e-9 (1 + max diag)``.
     """
     n, m = model.n, model.m
     mn, c = m * n, aug.copies
@@ -295,6 +300,11 @@ def asymptotic_covariance(
 
     Wbar = np.einsum("ij,kl,jlab->iakb", aug.phi, aug.phi, Z).reshape(mn, mn)
     Wbar = 0.5 * (Wbar + Wbar.T)
+    # a small residual does not bound the error of an ill-conditioned
+    # solve; a negative variance shows it was lost
+    var = np.diag(Wbar)
+    if var.min() < -_RESIDUAL_CONTRACT * (1.0 + var.max()):
+        raise NoConvergenceError(f"covariance has a negative variance {var.min():.3e}")
     Wbreve = Wbar + np.kron(np.ones((m, m)), Ppost)
     traces = np.einsum("iaia->i", Wbreve.reshape(m, n, m, n))
     return CovarianceReport(

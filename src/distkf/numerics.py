@@ -14,8 +14,6 @@ functions, safe for concurrent use.  Conventions:
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 from scipy import linalg
 
@@ -90,41 +88,21 @@ def solve_dare(A: np.ndarray, C: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np
     return Sigma
 
 
-class SpectralSplit(NamedTuple):
-    V: np.ndarray      # change of basis, V^{-1} A V = diag(Au, As)
-    Vinv: np.ndarray
-    Au: np.ndarray     # eigenvalues with |lambda| >= 1 - 1e-9
-    As: np.ndarray     # strictly stable block
+def spectral_split(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Ordered real Schur form ``A = V T V'``, (marginally) unstable part first.
 
-
-def spectral_split(A: np.ndarray) -> SpectralSplit:
-    """Similarity transform isolating the (marginally) unstable subspace.
-
-    Ordered real Schur form counts the unstable eigenvalues.  When A is
-    all stable or all unstable the basis is the identity and the blocks
-    are A's own, one of them empty.  Otherwise a Sylvester solve removes
-    the coupling of the Schur form, whose leading block is unstable.
+    Returns ``(V, T, nu)``: V orthogonal, ``T = [[Au, Aus], [0, As]]``
+    quasi-upper-triangular, and nu the number of eigenvalues with modulus
+    at or above ``1 - 1e-9``, which Au holds.  The first nu columns of V
+    span A's unstable invariant subspace; the coupling Aus is kept, so no
+    Sylvester solve (whose conditioning is ``sep(Au, As)``) is needed.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    n = A.shape[0]
     thresh = 1.0 - UNIT_CIRCLE_TOL
-
-    T, Z, nu = linalg.schur(
+    T, V, nu = linalg.schur(
         A, output="real", sort=lambda re, im: np.hypot(re, im) >= thresh
     )
-    if nu in (0, n):
-        return SpectralSplit(np.eye(n), np.eye(n), A[:nu, :nu].copy(), A[nu:, nu:].copy())
-    T11 = T[:nu, :nu]
-    T22 = T[nu:, nu:]
-    # zero the coupling: T11 X - X T22 = -T12
-    X = linalg.solve_sylvester(T11, -T22, -T[:nu, nu:])
-    M = np.eye(n)
-    M[:nu, nu:] = X
-    Minv = np.eye(n)
-    Minv[:nu, nu:] = -X
-    V = Z @ M
-    Vinv = Minv @ Z.T
-    return SpectralSplit(V, Vinv, T11.copy(), T22.copy())
+    return V, T, nu
 
 
 def ctrb(X: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -44,9 +44,12 @@ class SystemModel:
         return self.C[i : i + 1]
 
 
-def _check_symmetric(M, name, tol=1e-8):
-    if np.linalg.norm(M - M.T) > tol * (1.0 + np.linalg.norm(M)):
-        raise BadNoiseError(f"{name} must be symmetric")
+def is_psd(M, floor=-1e-10) -> bool:
+    """Symmetric, with eigenvalues above ``floor * max(1, ||M||)``; the
+    default floor is the tolerance for a positive semidefinite Q."""
+    size = np.linalg.norm(M)
+    return (np.linalg.norm(M - M.T) <= 1e-8 * (1.0 + size)
+            and np.linalg.eigvalsh(0.5 * (M + M.T)).min() > floor * max(1.0, size))
 
 
 def build_system(A, C, Q, R) -> SystemModel:
@@ -72,12 +75,10 @@ def build_system(A, C, Q, R) -> SystemModel:
     if R.shape != (m, m):
         raise DimensionMismatchError("R must be m x m")
 
-    _check_symmetric(Q, "Q")
-    _check_symmetric(R, "R")
-    if np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))) < -1e-10 * max(1.0, np.linalg.norm(Q)):
-        raise BadNoiseError("Q must be positive semidefinite")
-    if np.min(np.linalg.eigvalsh(0.5 * (R + R.T))) <= 1e-12 * max(1.0, np.linalg.norm(R)):
-        raise BadNoiseError("R must be strictly positive definite")
+    if not is_psd(Q):
+        raise BadNoiseError("Q must be symmetric positive semidefinite")
+    if not is_psd(R, floor=1e-12):
+        raise BadNoiseError("R must be symmetric and strictly positive definite")
     if not numerics.is_observable(A, C):
         raise NotObservableError("(A, C) is not observable (PBH rank test)")
     return SystemModel(A=A, C=C, Q=Q, R=R)
@@ -85,19 +86,20 @@ def build_system(A, C, Q, R) -> SystemModel:
 
 @dataclass(frozen=True, eq=False)
 class SplitModel:
-    """Coordinates in which the plant is block diagonal, unstable part first.
+    """Orthogonal coordinates in which the plant is block upper-triangular,
+    unstable part first.
 
-    Vinv @ A @ V = diag(Au, As); C_i V = [Ciu_i, Cis_i]; J selects the
-    stable substate from the (transformed) process noise.
+    V' A V = [[Au, Aus], [0, As]] with V orthogonal; C_i V = [Ciu_i, Cis_i].
+    The stable substate ``x_s = V[:, nu:]' x`` evolves on its own and drives
+    the unstable one through Aus.
     """
 
     V: np.ndarray
-    Vinv: np.ndarray
-    Au: np.ndarray
-    As: np.ndarray
+    Au: np.ndarray   # eigenvalues with |lambda| >= 1 - 1e-9
+    Aus: np.ndarray  # (nu, ns) stable-to-unstable coupling
+    As: np.ndarray   # strictly stable block
     Ciu: np.ndarray  # (m, nu)
     Cis: np.ndarray  # (m, ns)
-    J: np.ndarray    # (ns, n) selector [0 I]
 
     @property
     def nu(self) -> int:
@@ -109,17 +111,13 @@ class SplitModel:
 
 
 def split_model(model: SystemModel) -> SplitModel:
-    """Split the plant into unstable and stable spectral blocks.
-
-    ``numerics.spectral_split`` gives the change of basis: the identity
-    when A is all stable or all unstable, otherwise an ordered Schur
-    decomposition plus a Sylvester solve.
+    """Split the plant into unstable and stable parts by the ordered real
+    Schur form of ``numerics.spectral_split``; one or the other may be empty.
     """
-    V, Vinv, Au, As = numerics.spectral_split(model.A)
-    nu, ns = Au.shape[0], As.shape[0]
+    V, T, nu = numerics.spectral_split(model.A)
     CV = model.C @ V
-    J = np.hstack([np.zeros((ns, nu)), np.eye(ns)])
-    return SplitModel(V=V, Vinv=Vinv, Au=Au, As=As, Ciu=CV[:, :nu], Cis=CV[:, nu:], J=J)
+    return SplitModel(V=V, Au=T[:nu, :nu], Aus=T[:nu, nu:], As=T[nu:, nu:],
+                      Ciu=CV[:, :nu], Cis=CV[:, nu:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,10 +191,3 @@ def geometric_adjacency(positions: np.ndarray, radius: float) -> np.ndarray:
             if np.linalg.norm(pos[i] - pos[j]) <= radius:
                 A[i, j] = A[j, i] = 1.0
     return A
-
-
-def random_geometric_graph(m: int, radius: float, seed: int) -> SensorGraph:
-    """Seeded uniform placement on the unit square, radius connectivity."""
-    rng = np.random.default_rng(seed)
-    pos = rng.uniform(size=(m, 2))
-    return build_graph(geometric_adjacency(pos, radius))

@@ -28,16 +28,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .numerics import spectral_radius
 from .plant import (
     SensorGraph,
     SystemModel,
     build_graph,
     build_system,
     geometric_adjacency,
+    is_psd,
     ring_graph,
 )
+from .simulator import resolve_variant
 
 _MAX_DIM = 64
+_MAX_GROWTH = 1e12  # largest rho(A)^horizon a simulation may reach
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +70,20 @@ class Scenario:
         for key in ("horizon", "trials", "rounds_per_sample"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if not isinstance(self.replace_own, (bool, np.bool_)):
+            raise ConfigError(f"replace_own must be true or false, got {self.replace_own!r}")
+        n, m, P0 = self.model.n, self.model.m, self.initial_state_cov
+        if self.replace_own and resolve_variant(self.variant, n, m) != "alg1":
+            raise ConfigError("replace_own applies to variant alg1 only (auto picks alg2 when n < m)")
+        if P0 is not None and not is_psd(np.asarray(P0, dtype=float)):
+            raise ConfigError("initial_state_cov must be symmetric positive semidefinite")
+        # the simulator works in absolute coordinates, so x_hat - x loses
+        # digits as the state grows like rho(A)^k
+        rho = spectral_radius(self.model.A)
+        if rho > 1.0 and self.horizon * np.log(rho) > np.log(_MAX_GROWTH):
+            limit = int(np.log(_MAX_GROWTH) / np.log(rho))
+            raise ConfigError(f"horizon {self.horizon} grows the plant by rho(A)^horizon = {rho:.6g}"
+                              f"^{self.horizon} > {_MAX_GROWTH:.0e}; the limit is {limit} steps")
 
 
 def _matrix(obj, name):
@@ -131,7 +149,7 @@ def parse_scenario(cfg: dict, name: str = "custom") -> Scenario:
             zeta=None if zeta is None else float(zeta),
             stable_poles=None if poles is None else [complex(p) for p in np.ravel(poles)],
             variant=str(design.get("variant", "auto")),
-            replace_own=bool(design.get("replace_own", False)),
+            replace_own=design.get("replace_own", False),
             horizon=horizon,
             trials=int(sim.get("trials", 100)),
             seed=int(sim.get("seed", 0)),

@@ -65,6 +65,45 @@ def random_observable_model(rng, n=None, m=None, allow_unstable=True):
     raise RuntimeError("failed to sample an observable model")
 
 
+def nonnormal_plants(seed, count):
+    """(model, graph) pairs with A = V diag(eig) V^-1 for a Gaussian V."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        nu = int(rng.integers(1, n))
+        eig = np.r_[rng.uniform(1.02, 1.3, nu) * rng.choice([-1, 1], nu), rng.uniform(-0.9, 0.9, n - nu)]
+        V = rng.standard_normal((n, n))
+        C, B, D = rng.standard_normal((m, n)), rng.standard_normal((n, n)), rng.standard_normal((m, m))
+        try:
+            model = distkf.build_system(V @ np.diag(eig) @ np.linalg.inv(V), C,
+                                        B @ B.T / n + 0.05 * np.eye(n), D @ D.T / m + 0.1 * np.eye(m))
+        except distkf.DistkfError:
+            continue
+        out.append((model, random_connected_graph(rng, m)))
+    return out
+
+
+def check_split(A, V, T, nu):
+    """Assert the split contract and return its largest relative gap: V
+    orthogonal, ``T = V'AV`` block upper-triangular with the nu unstable
+    eigenvalues in the leading block, ``V T V' = A``, and the spectrum of
+    A shared out between the two diagonal blocks."""
+    n = A.shape[0]
+    scale = max(1.0, np.linalg.norm(A))
+    gap = max(np.linalg.norm(V.T @ V - np.eye(n)),
+              np.linalg.norm(V.T @ A @ V - T) / scale,
+              np.linalg.norm(V @ T @ V.T - A) / scale)
+    assert gap <= 1e-12
+    assert not np.any(T[nu:, :nu])
+    eu, es = np.linalg.eigvals(T[:nu, :nu]), np.linalg.eigvals(T[nu:, nu:])
+    assert np.all(np.abs(eu) >= 1 - 1e-9) and np.all(np.abs(es) < 1 - 1e-9)
+    got = sorted(np.r_[eu, es], key=lambda z: (z.real, z.imag))
+    want = sorted(np.linalg.eigvals(A), key=lambda z: (z.real, z.imag))
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-8 * max(1.0, np.abs(want).max())
+    return gap
+
+
 def random_connected_graph(rng, m):
     """Random weighted undirected connected graph on m nodes."""
     for _ in range(100):

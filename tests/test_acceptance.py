@@ -13,6 +13,7 @@ from distkf.decomposition import ModalBasis, _ones_basis, _residues
 from distkf.errors import InfeasibleConditionError
 
 from conftest import (
+    check_split,
     heat_grid,
     kernel_run,
     matrix_with_spectrum,
@@ -303,20 +304,7 @@ def test_criterion_9_numerics_property_suite():
     for _ in range(200):
         n = int(rng.integers(1, 7))
         A = matrix_with_spectrum(rng, random_spectrum(rng, n))
-        V, Vinv, Au, As = numerics.spectral_split(A)
-        from scipy.linalg import block_diag
-
-        rebuilt = V @ block_diag(Au, As) @ Vinv
-        gap = np.linalg.norm(rebuilt - A) / max(1.0, np.linalg.norm(A))
-        worst_split = max(worst_split, gap)
-        assert gap <= 1e-8
-        got = np.concatenate([
-            np.linalg.eigvals(Au) if Au.size else np.empty(0, complex),
-            np.linalg.eigvals(As) if As.size else np.empty(0, complex),
-        ])
-        got = sorted(got, key=lambda z: (z.real, z.imag))
-        want = sorted(np.linalg.eigvals(A), key=lambda z: (z.real, z.imag))
-        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-8 * max(1.0, np.abs(want).max())
+        worst_split = max(worst_split, check_split(A, *numerics.spectral_split(A)))
 
     _report(9, "numerics property suite",
             f"200 instances each: DARE {worst_dare:.1e}, Lyapunov-vs-series {worst_dlyap:.1e}, "

@@ -10,6 +10,7 @@ from distkf.errors import InfeasibleDesignError, NoConvergenceError, UnstableAug
 from conftest import (
     heat_grid,
     matrix_with_spectrum,
+    nonnormal_plants,
     random_connected_graph,
     random_observable_model,
     random_spectrum,
@@ -279,6 +280,32 @@ class TestExactOracle:
                     assert_allclose(rep.Wbar, ref, atol=1e-15)
                 else:
                     assert relative_gap(rep.Wbar, ref) <= 1e-5
+
+
+class TestNonNormalPlant:
+    """A plant whose stable substate drives its unstable one (|Aus| = 1.06
+    in the Schur basis): the oracle must carry that coupling."""
+
+    def test_oracle_matches_monte_carlo(self):
+        model, graph = nonnormal_plants(77, 1)[0]
+        designs = distkf.design_pipeline(model, graph, variant="alg1")
+        assert (model.n, model.m, designs.split.nu) == (2, 5, 1)
+        assert abs(designs.split.Aus[0, 0]) > 1.0
+        rep = distkf.asymptotic_covariance(augment(model, designs, "alg1"), model,
+                                           designs.kalman.Ppost)
+        cfg = distkf.TrialConfig(horizon=150, seed=3, variant="alg1")
+        emp = distkf.run_monte_carlo(model, designs, cfg, 2000).node_mse(slice(75, 151))
+        # 0.7% with the coupling, 46% without it
+        assert np.max(np.abs(emp.sum(axis=1) / rep.per_node_trace - 1.0)) < 0.05
+
+    def test_negative_variance_rejected(self):
+        # conditioning 3.2e8: the block residual 8.4e-10 meets the contract,
+        # yet node traces of Wbar reach -7e4
+        model, graph = nonnormal_plants(77, 80)[37]
+        designs = distkf.design_pipeline(model, graph, variant="alg1")
+        aug = augment(model, designs, "alg1")
+        with pytest.raises(NoConvergenceError, match="negative variance"):
+            distkf.asymptotic_covariance(aug, model, designs.kalman.Ppost)
 
 
 class TestCertificate:

@@ -189,9 +189,12 @@ class TestAnalyticSkippedForUnmodeledRuns:
 
 class TestBadSimOptions:
     """Link-drop probability outside [0, 1), negative seeds, horizons,
-    trial counts or consensus rounds below 1, and non-numeric or malformed sim, graph and design values end with
-    exit 2 and exactly one error line on stderr, never a traceback or a
-    warning, from flags and from scenario JSON."""
+    trial counts or consensus rounds below 1, horizons past the plant's
+    growth limit, replace_own off alg1 or not a boolean, an initial state
+    covariance that is not symmetric PSD, and non-numeric or malformed
+    sim, graph and design values end with exit 2 and exactly one error
+    line on stderr, never a traceback or a warning, from flags and from
+    scenario JSON."""
 
     @staticmethod
     def _run(args):
@@ -247,6 +250,23 @@ class TestBadSimOptions:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in proc.stderr + proc.stdout
 
+    @pytest.mark.parametrize("overrides, needle", [
+        (dict(design={"zeta": 0.5, "replace_own": True}), "alg1 only"),
+        (dict(design={"zeta": 0.5, "variant": "alg1", "replace_own": "no"}), "true or false"),
+        (dict(sim={"horizon": 10, "initial_state_cov": [[-1, 0], [0, 1]]}), "semidefinite"),
+        (dict(sim={"horizon": 10, "initial_state_cov": [[1, 5], [0, 1]]}), "semidefinite"),
+        # example1's plant: 1.1^400 = 3.6e16 leaves no digits for x_hat - x
+        (dict(sim={"horizon": 400}), "limit is 289 steps"),
+    ], ids=["replace-own-alg2", "replace-own-text", "x0-cov-indefinite", "x0-cov-asymmetric",
+            "horizon-growth"])
+    def test_check_rejects_scenario(self, tmp_path, overrides, needle):
+        cfg = write_config(tmp_path / "c.json", **overrides)
+        proc = self._run(["check", "--config", str(cfg)])
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert needle in lines[0]
+
     def test_initial_state_cov_misfits_plant_order(self, tmp_path):
         # a 3-state plant with the 2x2 covariance once died in run_trial
         cfg = write_config(tmp_path / "c.json", system={
@@ -274,9 +294,11 @@ class TestBadDesignInputs:
               design={}), "defective"),
         # 0.6286 lies within 1e-3 of the closed-loop pole 0.62859...
         (dict(design={"zeta": 0.5, "stable_poles": [0.6286]}), "stable pole"),
-        # detectable, but scipy finds no finite Riccati solution for 1e8
+        # detectable, but scipy finds no finite Riccati solution for 1e8;
+        # one step keeps 1e8^horizon inside the scenario's growth limit
         (dict(system={"A": [[1e8, 0.0], [0.0, 0.5]], "C": [[1, 0], [0, 1], [1, 1], [1, -1]],
-                      "Q": [[0.25, 0], [0, 0.25]], "R": np.diag([4.0] * 4).tolist()}),
+                      "Q": [[0.25, 0], [0, 0.25]], "R": np.diag([4.0] * 4).tolist()},
+              sim={"horizon": 1, "trials": 1, "seed": 9}),
          "Riccati solve"),
     ], ids=["defective-closed-loop", "stable-pole-clash", "riccati-failure"])
     def test_exit_4(self, tmp_path, overrides, needle):

@@ -371,7 +371,7 @@ def _tracking_errors(model, design, bundle, split, horizon, seed):
     for x, y in zip(plant_x[1:], plant_y[1:]):
         z = y - xi @ bundle.beta
         xi = xi @ bundle.S.T + np.outer(z, np.ones(n))
-        xsplit = split.Vinv @ x
+        xsplit = split.V.T @ x
         eps.append(np.array([bundle.G[i] @ xsplit - xi[i] for i in range(m)]))
     return np.array(eps)
 

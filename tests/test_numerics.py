@@ -6,7 +6,13 @@ from scipy import linalg
 from distkf import numerics
 from distkf.errors import NoConvergenceError, NotDetectableError
 
-from conftest import matrix_with_spectrum, random_observable_model, random_spectrum
+from conftest import (
+    check_split,
+    matrix_with_spectrum,
+    nonnormal_plants,
+    random_observable_model,
+    random_spectrum,
+)
 
 
 def dare_residual(A, C, Q, R, S):
@@ -63,40 +69,37 @@ class TestSolveDare:
 
 class TestSpectralSplit:
     def test_diagonal_reorder(self):
-        V, Vinv, Au, As = numerics.spectral_split(np.diag([0.9, 1.1]))
-        assert Au.shape == (1, 1) and As.shape == (1, 1)
-        assert_allclose(Au[0, 0], 1.1, rtol=1e-12)
-        assert_allclose(As[0, 0], 0.9, rtol=1e-12)
+        A = np.diag([0.9, 1.1])
+        V, T, nu = numerics.spectral_split(A)
+        check_split(A, V, T, nu)
+        assert nu == 1
+        assert_allclose(T, np.diag([1.1, 0.9]), rtol=1e-12, atol=1e-15)
 
     def test_stable_matrix_empty_unstable_block(self):
         rng = np.random.default_rng(3)
         A = matrix_with_spectrum(rng, random_spectrum(rng, 3, allow_unstable=False))
-        V, Vinv, Au, As = numerics.spectral_split(A)
-        assert Au.shape == (0, 0)
-        assert_allclose(sorted(np.linalg.eigvals(As)), sorted(np.linalg.eigvals(A)), atol=1e-10)
+        V, T, nu = numerics.spectral_split(A)
+        check_split(A, V, T, nu)
+        assert nu == 0
 
-    def test_triangular_coupling_removed(self):
+    def test_triangular_coupling_kept(self):
+        # already in ordered Schur form: the basis can only flip signs,
+        # and the coupling survives in T
         A = np.array([[1.2, 1.0], [0.0, 0.5]])
-        V, Vinv, Au, As = numerics.spectral_split(A)
-        assert_allclose(Au, [[1.2]], atol=1e-12)
-        assert_allclose(As, [[0.5]], atol=1e-12)
-        from scipy.linalg import block_diag
-
-        assert_allclose(Vinv @ A @ V, block_diag(Au, As), atol=1e-12)
+        V, T, nu = numerics.spectral_split(A)
+        check_split(A, V, T, nu)
+        assert nu == 1
+        assert_allclose(np.abs(V), np.eye(2), atol=1e-12)
+        assert_allclose(np.diag(T), [1.2, 0.5], atol=1e-12)
+        assert_allclose(abs(T[0, 1]), 1.0, atol=1e-12)
 
     def test_eigenvalue_multiset_preserved(self):
         rng = np.random.default_rng(5)
-        for _ in range(60):
-            n = rng.integers(2, 7)
-            A = matrix_with_spectrum(rng, random_spectrum(rng, n))
-            V, Vinv, Au, As = numerics.spectral_split(A)
-            got = np.concatenate([np.linalg.eigvals(Au) if Au.size else [], np.linalg.eigvals(As) if As.size else []])
-            want = np.linalg.eigvals(A)
-            assert_allclose(
-                np.sort_complex(np.round(got, 12)), np.sort_complex(np.round(want, 12)), atol=1e-8
-            )
-            assert np.all(np.abs(np.linalg.eigvals(Au)) >= 1 - 1e-9) if Au.size else True
-            assert np.all(np.abs(np.linalg.eigvals(As)) < 1 - 1e-9) if As.size else True
+        plants = [matrix_with_spectrum(rng, random_spectrum(rng, rng.integers(2, 7))) for _ in range(60)]
+        plants += [model.A for model, _ in nonnormal_plants(5, 40)]
+        for A in plants:
+            V, T, nu = numerics.spectral_split(A)
+            check_split(A, V, T, nu)
 
 
 class TestCtrb:

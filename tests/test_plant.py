@@ -6,7 +6,7 @@ from scipy.linalg import block_diag
 import distkf
 from distkf.errors import BadNoiseError, DimensionMismatchError, DisconnectedGraphError, NotObservableError
 
-from conftest import matrix_with_spectrum, random_observable_model
+from conftest import check_split, matrix_with_spectrum, nonnormal_plants, random_observable_model
 
 
 def ring_example_args():
@@ -58,20 +58,21 @@ class TestSplitModel:
         model = random_observable_model(rng, n=3, m=2, allow_unstable=False)
         split = distkf.split_model(model)
         assert split.nu == 0
-        assert_allclose(split.J, np.eye(3), atol=1e-12)
+        assert split.Au.shape == (0, 0) and split.Aus.shape == (0, 3) and split.Ciu.shape == (2, 0)
+        check_split(model.A, split.V, split.As, 0)
+        assert_allclose(split.Cis, model.C @ split.V)
 
     @pytest.mark.parametrize("eigs, nu", [([0.5, -0.3, 0.8], 0), ([1.2, -1.5, 1.0], 3)],
                              ids=["all-stable", "all-unstable"])
-    def test_one_sided_spectrum_keeps_identity(self, eigs, nu):
-        # all stable or all unstable: identity basis, A's own blocks
+    def test_one_sided_spectrum(self, eigs, nu):
+        # all stable or all unstable: Schur coordinates, one block empty
         rng = np.random.default_rng(7)
         A = matrix_with_spectrum(rng, np.asarray(eigs, dtype=complex))
         model = distkf.build_system(A, rng.standard_normal((2, 3)), 0.1 * np.eye(3), np.eye(2))
         split = distkf.split_model(model)
-        assert split.nu == nu and split.ns == 3 - nu
-        assert np.array_equal(split.V, np.eye(3)) and np.array_equal(split.Vinv, np.eye(3))
-        assert np.array_equal(block_diag(split.Au, split.As), A)
-        assert np.array_equal(np.hstack([split.Ciu, split.Cis]), model.C)
+        assert split.nu == nu and split.ns == 3 - nu and split.Aus.shape == (nu, 3 - nu)
+        check_split(A, split.V, block_diag(split.Au, split.As), nu)
+        assert_allclose(np.hstack([split.Ciu, split.Cis]), model.C @ split.V)
 
     def test_block_diagonal_plant_rebuilt(self):
         # an already ordered plant goes through the Schur route like any other
@@ -79,9 +80,8 @@ class TestSplitModel:
         model = distkf.build_system(A, np.array([[1.0, 1.0]]), 0.1 * np.eye(2), [[1.0]])
         split = distkf.split_model(model)
         assert split.nu == 1 and split.ns == 1
-        assert_allclose(split.Vinv @ A @ split.V, block_diag(split.Au, split.As), atol=1e-12)
-        assert_allclose(split.V @ block_diag(split.Au, split.As) @ split.Vinv, A, atol=1e-12)
-        assert_allclose(split.Vinv @ split.V, np.eye(2), atol=1e-12)
+        check_split(A, split.V, np.block([[split.Au, split.Aus], [np.zeros((1, 1)), split.As]]), 1)
+        assert_allclose(split.Aus, [[0.0]], atol=1e-15)
 
     def test_heat_model_single_marginal_mode(self):
         A = distkf.heat_transition(N=5, alpha=0.2)
@@ -96,11 +96,14 @@ class TestSplitModel:
 
     def test_reconstruction_invariant(self):
         rng = np.random.default_rng(23)
-        for _ in range(30):
-            model = random_observable_model(rng)
+        models = [random_observable_model(rng) for _ in range(30)]
+        models += [model for model, _ in nonnormal_plants(23, 30)]
+        for model in models:
             split = distkf.split_model(model)
-            rebuilt = split.V @ block_diag(split.Au, split.As) @ split.Vinv
-            assert np.linalg.norm(rebuilt - model.A) <= 1e-8 * max(1.0, np.linalg.norm(model.A))
+            nu, ns = split.nu, split.ns
+            T = np.block([[split.Au, split.Aus], [np.zeros((ns, nu)), split.As]])
+            check_split(model.A, split.V, T, nu)
+            assert_allclose(np.hstack([split.Ciu, split.Cis]), model.C @ split.V)
 
 
 class TestGraphs:
@@ -138,6 +141,11 @@ class TestGraphs:
             assert np.all(g.mu >= -1e-12)
 
     def test_random_geometric_deterministic(self):
-        g1 = distkf.random_geometric_graph(8, 0.6, seed=5)
-        g2 = distkf.random_geometric_graph(8, 0.6, seed=5)
-        assert np.array_equal(g1.adjacency, g2.adjacency)
+        def adjacency(seed):
+            cfg = {"system": {"A": np.eye(8).tolist(), "C": np.eye(8).tolist(),
+                              "Q": np.eye(8).tolist(), "R": np.eye(8).tolist()},
+                   "graph": {"kind": "random_geometric", "m": 8, "radius": 0.6, "seed": seed}}
+            return distkf.parse_scenario(cfg).graph.adjacency
+
+        assert np.array_equal(adjacency(5), adjacency(5))
+        assert not np.array_equal(adjacency(5), adjacency(6))
