@@ -57,6 +57,7 @@ from .consensus import ConsensusDesign
 from .errors import ConfigError, NoConvergenceError, UnstableAugmentedError
 from .kalman import KalmanDesign
 from .plant import SensorGraph, SplitModel, SystemModel
+from .simulator import message_dimension, resolve_variant
 
 _RESIDUAL_CONTRACT = 1e-9  # largest relative residual a covariance block may keep
 
@@ -118,18 +119,7 @@ def augmented_dims(n: int, m: int, ns: int, variant: str) -> tuple:
     """(deviation block, tracking block, stable substate) dimensions of the
     augmented system; each of the m - 1 atoms repeats m times for alg1 and
     n times for alg2."""
-    return ((m - 1) * (m if variant == "alg1" else n) * n, m * n, ns)
-
-
-def _laplacian_eigenbasis(graph: SensorGraph):
-    """Orthonormal eigenbasis with the normalized all-ones vector first."""
-    m = graph.m
-    w, U = np.linalg.eigh(0.5 * (graph.laplacian + graph.laplacian.T))
-    order = np.argsort(w)
-    w = w[order]
-    U = U[:, order]
-    U[:, 0] = 1.0 / np.sqrt(m)
-    return w, U
+    return ((m - 1) * message_dimension(variant, n, m) * n, m * n, ns)
 
 
 def build_augmented(
@@ -142,7 +132,8 @@ def build_augmented(
     variant: str = "alg1",
     reduced: ReducedBundle | None = None,
 ) -> AugmentedSystem:
-    """Factors of the stable augmented deviation system for one variant.
+    """Factors of the stable augmented deviation system for one variant
+    (``auto`` resolves as in the simulator).
 
     Raises UnstableAugmentedError when the assembled dynamics are not
     strictly stable, which signals a broken or infeasible design.
@@ -151,21 +142,15 @@ def build_augmented(
     ns = split.ns
     S, Lam = bundle.S, bundle.Lambda
     ones = np.ones((n, 1))
-    mu, Phi = _laplacian_eigenbasis(graph)
+    variant = resolve_variant(variant, n, m)
 
-    if variant == "alg1":
-        copies = m
-        P = np.kron(np.eye(m), ones)   # node i's residual enters its copy i
-        F = m * bundle.Fstack
-    elif variant == "alg2":
-        if reduced is None:
-            raise ConfigError("variant alg2 requires the reduced-order bundle")
-        copies = n
-        P = reduced.T
-        F = m * reduced.H
+    if variant == "alg1":  # node i's residual enters its copy i
+        P, F = np.kron(np.eye(m), ones), m * bundle.Fstack
+    elif reduced is None:
+        raise ConfigError("variant alg2 requires the reduced-order bundle")
     else:
-        raise ConfigError(f"unknown variant {variant!r}")
-    atoms = S - mu[1:, None, None] * (ones * consensus.Gamma)
+        P, F = reduced.T, m * reduced.H
+    atoms = S - graph.mu[1:, None, None] * (ones * consensus.Gamma)
 
     nu, mn = split.nu, m * n
     Cbar = model.C @ split.V
@@ -187,8 +172,8 @@ def build_augmented(
             f"augmented deviation system has spectral radius {rho:.6f}"
         )
     return AugmentedSystem(
-        atoms=atoms, copies=copies, phi=Phi[:, 1:], P=P, E=E, Ec=Ec,
-        Cw=model.C,
+        atoms=atoms, copies=message_dimension(variant, n, m), phi=graph.phi[:, 1:],
+        P=P, E=E, Ec=Ec, Cw=model.C,
         Bw_e=np.vstack([W_eps, np.eye(n)[nu:]]) @ split.V.T,
         Bv_e=np.vstack([V_eps, np.zeros((ns, m))]),
         F=F, variant=variant,

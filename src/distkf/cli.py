@@ -22,12 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, simulator
-from .consensus import bernoulli_drop_strategy, static_strategy
 from .decomposition import bundle_to_dict
 from .errors import ConfigError, DistkfError
 from .pipeline import design_pipeline, local_baselines
 from .scenarios import Scenario, builtin_scenario, load_scenario
-from .simulator import TrialConfig, resolve_variant, run_monte_carlo, run_trial
+from .simulator import resolve_variant, run_monte_carlo, run_trial
 
 _ANALYTIC_DIM_CAP = 2500
 
@@ -58,24 +57,6 @@ def _design(sc: Scenario):
         sc.model, sc.graph, zeta=sc.zeta, stable_poles=sc.stable_poles, variant=sc.variant
     )
     return designs, resolve_variant(sc.variant, sc.model.n, sc.model.m)
-
-
-def _strategy(sc: Scenario):
-    if sc.drop_prob > 0.0:
-        return bernoulli_drop_strategy(sc.drop_prob)
-    return static_strategy()
-
-
-def _trial_config(sc: Scenario) -> TrialConfig:
-    return TrialConfig(
-        horizon=sc.horizon,
-        seed=sc.seed,
-        variant=sc.variant,
-        strategy=_strategy(sc),
-        replace_own=sc.replace_own,
-        rounds_per_sample=sc.rounds_per_sample,
-        initial_state_cov=sc.initial_state_cov,
-    )
 
 
 def _feasibility_lines(designs, variant):
@@ -172,7 +153,7 @@ def _analytic_report(sc: Scenario, designs, variant):
 def cmd_simulate(args) -> int:
     sc = _load(args)
     designs, variant = _design(sc)
-    config = _trial_config(sc)
+    config = sc.trial_config()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -213,7 +194,7 @@ def cmd_reproduce(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
 
     designs, variant = _design(sc)
-    config = _trial_config(sc)
+    config = sc.trial_config()
     for line in _feasibility_lines(designs, variant):
         print(line)
     result = run_monte_carlo(sc.model, designs, config, sc.trials)

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import numerics
 from .errors import (
+    ConfigError,
     GainInfeasibleError,
     InfeasibleConditionError,
     InfeasibleZetaError,
@@ -165,8 +166,7 @@ def design_consensus(S: np.ndarray, graph: SensorGraph, zeta: float | None = Non
     Raises:
         InfeasibleConditionError: mahler >= graph bound.
         InfeasibleZetaError: a user-supplied zeta violates
-            mahler < 1/zeta <= bound or the per-mode requirement
-            |1 - 2 mu_j/(mu_2+mu_m)| <= zeta.
+            mahler < 1/zeta <= bound.
         GainInfeasibleError: a deviation mode remains unstable.
     """
     report = check_condition(S, graph)
@@ -187,15 +187,6 @@ def design_consensus(S: np.ndarray, graph: SensorGraph, zeta: float | None = Non
             raise InfeasibleZetaError(
                 f"1/zeta = {inv:.6f} outside (mahler, bound] = "
                 f"({report.mahler:.6f}, {report.bound:.6f}]"
-            )
-    if graph.m > 1:
-        # per-mode requirement used by the gain argument; guaranteed by
-        # 1/zeta <= bound, asserted numerically per graph
-        mu2m = graph.mu2 + graph.mu_max
-        zeta_j = np.abs(1.0 - 2.0 * graph.mu[1:] / mu2m)
-        if np.any(zeta_j > zeta + 1e-12):
-            raise InfeasibleZetaError(
-                f"zeta = {zeta:.6f} below per-mode requirement {zeta_j.max():.6f}"
             )
     P = np.zeros((n, n))
     iterations = 0
@@ -244,7 +235,7 @@ class BernoulliDropStrategy:
 
     def __post_init__(self):
         if not (0.0 <= self.drop_prob < 1.0):
-            raise ValueError("drop_prob must lie in [0, 1)")
+            raise ConfigError(f"drop_prob must lie in [0, 1), got {self.drop_prob}")
 
     def sample_gains(self, adjacency, horizon, rounds, rng):
         adjacency = np.asarray(adjacency, dtype=float)

@@ -126,7 +126,8 @@ class SensorGraph:
 
     adjacency: np.ndarray
     laplacian: np.ndarray
-    mu: np.ndarray  # Laplacian eigenvalues, ascending
+    mu: np.ndarray   # Laplacian eigenvalues, ascending, mu[0] = 0
+    phi: np.ndarray  # orthonormal eigenvectors, column j for mu[j]; column 0 is 1/sqrt(m)
 
     @property
     def m(self) -> int:
@@ -159,11 +160,12 @@ def build_graph(adjacency) -> SensorGraph:
     if np.any(np.diag(A) != 0):
         raise DimensionMismatchError("adjacency diagonal must be zero")
     L = np.diag(A.sum(axis=1)) - A
-    mu = np.sort(np.linalg.eigvalsh(0.5 * (L + L.T)))
+    mu, phi = np.linalg.eigh(0.5 * (L + L.T))
     if m > 1 and mu[1] <= _CONNECTIVITY_TOL:
         raise DisconnectedGraphError(f"graph is disconnected (mu_2 = {mu[1]:.2e})")
     mu[0] = 0.0
-    return SensorGraph(adjacency=A, laplacian=L, mu=mu)
+    phi[:, 0] = 1.0 / np.sqrt(m)
+    return SensorGraph(adjacency=A, laplacian=L, mu=mu, phi=phi)
 
 
 def ring_graph(m: int, weight: float = 1.0) -> SensorGraph:

@@ -18,6 +18,9 @@ row major):
 
 Defaults: zeta auto (geometric midpoint rule), variant auto,
 rounds_per_sample 1, drop_prob 0, zero initial state.
+
+A scenario checks its sim options on construction with the simulator's
+own checks, so ``check`` and ``design`` refuse what ``simulate`` would.
 """
 
 from __future__ import annotations
@@ -27,21 +30,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .consensus import bernoulli_drop_strategy, static_strategy
 from .errors import ConfigError
-from .numerics import spectral_radius
 from .plant import (
     SensorGraph,
     SystemModel,
     build_graph,
     build_system,
     geometric_adjacency,
-    is_psd,
     ring_graph,
 )
-from .simulator import resolve_variant
+from .simulator import TrialConfig, check_trial
 
 _MAX_DIM = 64
-_MAX_GROWTH = 1e12  # largest rho(A)^horizon a simulation may reach
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,28 +63,24 @@ class Scenario:
     steady_window: tuple = (50, 100)  # step range used for steady-state averages
 
     def __post_init__(self):
-        # runs on every construction, dataclasses.replace included
-        if not 0.0 <= self.drop_prob < 1.0:
-            raise ConfigError(f"drop_prob must lie in [0, 1), got {self.drop_prob}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        for key in ("horizon", "trials", "rounds_per_sample"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
-        if not isinstance(self.replace_own, (bool, np.bool_)):
-            raise ConfigError(f"replace_own must be true or false, got {self.replace_own!r}")
-        n, m, P0 = self.model.n, self.model.m, self.initial_state_cov
-        if self.replace_own and resolve_variant(self.variant, n, m) != "alg1":
-            raise ConfigError("replace_own applies to variant alg1 only (auto picks alg2 when n < m)")
-        if P0 is not None and not is_psd(np.asarray(P0, dtype=float)):
-            raise ConfigError("initial_state_cov must be symmetric positive semidefinite")
-        # the simulator works in absolute coordinates, so x_hat - x loses
-        # digits as the state grows like rho(A)^k
-        rho = spectral_radius(self.model.A)
-        if rho > 1.0 and self.horizon * np.log(rho) > np.log(_MAX_GROWTH):
-            limit = int(np.log(_MAX_GROWTH) / np.log(rho))
-            raise ConfigError(f"horizon {self.horizon} grows the plant by rho(A)^horizon = {rho:.6g}"
-                              f"^{self.horizon} > {_MAX_GROWTH:.0e}; the limit is {limit} steps")
+        # runs on every construction, dataclasses.replace included; the
+        # steady window needs at least one step
+        if self.horizon < 1:
+            raise ConfigError(f"horizon must be at least 1, got {self.horizon}")
+        check_trial(self.model, self.trial_config())
+
+    def trial_config(self) -> TrialConfig:
+        """One trial's options; links drop only when drop_prob is nonzero."""
+        return TrialConfig(
+            horizon=self.horizon,
+            seed=self.seed,
+            variant=self.variant,
+            strategy=(bernoulli_drop_strategy(self.drop_prob) if self.drop_prob
+                      else static_strategy()),
+            replace_own=self.replace_own,
+            rounds_per_sample=self.rounds_per_sample,
+            initial_state_cov=self.initial_state_cov,
+        )
 
 
 def _matrix(obj, name):
@@ -134,11 +131,6 @@ def parse_scenario(cfg: dict, name: str = "custom") -> Scenario:
         x0cov = sim.get("initial_state_cov")
         if x0cov is not None:
             x0cov = _matrix(x0cov, "sim.initial_state_cov")
-            if x0cov.shape != (model.n, model.n):
-                raise ConfigError(
-                    f"sim.initial_state_cov is {x0cov.shape[0]}x{x0cov.shape[1]}, "
-                    f"expected {model.n}x{model.n} for the plant order"
-                )
         zeta, poles = design.get("zeta"), design.get("stable_poles")
         horizon = int(sim.get("horizon", 100))
         lo = max(1, horizon // 2)

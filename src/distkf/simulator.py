@@ -10,6 +10,10 @@ Reproducibility: every trial owns counter-based RNG streams derived from
 link failures.  Monte-Carlo trial t of master seed s uses entropy
 ``(s, t)``, so any trial can be replayed in isolation.
 
+Checks: ``TrialConfig`` checks the trial options that need no plant,
+``check_trial`` the rest, for library callers and CLI scenarios alike;
+a bad option raises ``ConfigError`` before anything is drawn.
+
 Batching: ``run_trial(..., seeds=...)`` runs several trials through the
 kernel at once, along a leading trial axis, and ``run_monte_carlo`` runs
 its trials in such batches.  Each trial still draws from its own streams,
@@ -34,7 +38,10 @@ from .consensus import BernoulliDropStrategy, ConsensusDesign, StaticStrategy
 from .decomposition import DecompositionBundle, ReducedBundle, psd_factor
 from .errors import ConfigError
 from .kalman import KalmanDesign
-from .plant import SensorGraph, SplitModel, SystemModel
+from .numerics import spectral_radius
+from .plant import SensorGraph, SplitModel, SystemModel, is_psd
+
+_MAX_GROWTH = 1e12  # largest rho(A)^horizon a simulation may reach
 
 
 def resolve_variant(variant: str, n: int, m: int) -> str:
@@ -66,12 +73,48 @@ class DesignSet:
 @dataclass(frozen=True, eq=False)
 class TrialConfig:
     horizon: int
-    seed: object = 0  # int, tuple of ints, or numpy SeedSequence
+    seed: object = 0  # non-negative int, or a tuple or list of them
     variant: str = "auto"
     strategy: StaticStrategy | BernoulliDropStrategy = field(default_factory=StaticStrategy)
     replace_own: bool = False
     rounds_per_sample: int = 1
     initial_state_cov: np.ndarray | None = None
+
+    def __post_init__(self):
+        # runs on every construction, dataclasses.replace included
+        parts = self.seed if isinstance(self.seed, (tuple, list)) else [self.seed]
+        if not parts or not all(isinstance(s, (int, np.integer)) and s >= 0 for s in parts):
+            raise ConfigError(f"seed must be a non-negative int or tuple of them, got {self.seed!r}")
+        if self.horizon < 0:
+            raise ConfigError(f"horizon must be non-negative, got {self.horizon}")
+        if self.rounds_per_sample < 1:
+            raise ConfigError(f"rounds_per_sample must be at least 1, got {self.rounds_per_sample}")
+        if not isinstance(self.replace_own, (bool, np.bool_)):
+            raise ConfigError(f"replace_own must be true or false, got {self.replace_own!r}")
+
+
+def check_trial(model: SystemModel, config: TrialConfig) -> str:
+    """Check the variant, initial_state_cov, replace_own and the plant's
+    growth over the horizon; returns the resolved variant."""
+    n, m = model.n, model.m
+    variant = resolve_variant(config.variant, n, m)
+    if config.initial_state_cov is not None:
+        P0 = np.asarray(config.initial_state_cov, dtype=float)
+        if P0.shape != (n, n):
+            raise ConfigError(f"initial_state_cov is {'x'.join(map(str, P0.shape))}, "
+                              f"expected {n}x{n} for the plant order")
+        if not is_psd(P0):
+            raise ConfigError("initial_state_cov must be symmetric positive semidefinite")
+    if config.replace_own and variant != "alg1":
+        raise ConfigError("replace_own applies to variant alg1 only (auto picks alg2 when n < m)")
+    # the simulator works in absolute coordinates, so x_hat - x loses
+    # digits as the state grows like rho(A)^k
+    rho, T = spectral_radius(model.A), config.horizon
+    if rho > 1.0 and T * np.log(rho) > np.log(_MAX_GROWTH):
+        limit = int(np.log(_MAX_GROWTH) / np.log(rho))
+        raise ConfigError(f"horizon {T} grows the plant by rho(A)^horizon = {rho:.6g}"
+                          f"^{T} > {_MAX_GROWTH:.0e}; the limit is {limit} steps")
+    return variant
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,12 +143,6 @@ class SimulationTrace:
         return self.xbreve - self.xhat[..., None, :]
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 def _rng(ss: np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
@@ -128,15 +165,10 @@ def run_trial(
     is kept: the result is the ``MonteCarloResult`` of the batch, the
     mean squared errors and deviations over its trials.
     """
-    n, m = model.n, model.m
-    T = int(config.horizon)
-    variant = resolve_variant(config.variant, n, m)
+    n, m, T = model.n, model.m, int(config.horizon)
+    variant = check_trial(model, config)
     if variant == "alg2" and designs.reduced is None:
         raise ConfigError("variant alg2 requires the reduced-order bundle")
-    if config.replace_own and variant != "alg1":
-        raise ConfigError("replace_own applies to variant alg1 only")
-    if config.rounds_per_sample < 1:
-        raise ConfigError("rounds_per_sample must be >= 1")
 
     batch = [config.seed] if seeds is None else list(seeds)
     if not batch:
@@ -150,7 +182,7 @@ def run_trial(
     v = np.empty((len(batch), T + 1, m))
     gains = None
     for b, seed in enumerate(batch):
-        noise_ss, link_ss = _seed_sequence(seed).spawn(2)
+        noise_ss, link_ss = np.random.SeedSequence(seed).spawn(2)
         noise_rng = _rng(noise_ss)
         if L0 is not None:
             x0[b] = L0 @ noise_rng.standard_normal(n)
@@ -226,7 +258,7 @@ _BATCH_BYTES = 7 * 256 * 1024
 def _batch_plan(model: SystemModel, config: TrialConfig, variant: str):
     """Trials per batch and steps per chunk under ``_BATCH_BYTES``."""
     T, m, n = int(config.horizon), model.m, model.n
-    r = m if variant == "alg1" else n
+    r = message_dimension(variant, n, m)
     fixed = 2 * m * (r + 1) * n + T * n + (T + 1) * 2 * (n + m)
     if not isinstance(config.strategy, StaticStrategy):
         fixed += T * config.rounds_per_sample * m * m
@@ -248,14 +280,9 @@ def run_monte_carlo(
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    master = config.seed
-    if isinstance(master, np.random.SeedSequence):
-        raise ConfigError("Monte Carlo needs an integer (or tuple) master seed")
-    if isinstance(master, (tuple, list)):
-        base = tuple(int(v) for v in master)
-    else:
-        base = (int(master),)
-    variant = resolve_variant(config.variant, model.n, model.m)
+    seed = config.seed
+    base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    variant = check_trial(model, config)
     T, m = int(config.horizon), model.m
     size, chunk = _batch_plan(model, config, variant)
     mse = np.zeros((T + 1, m, model.n))

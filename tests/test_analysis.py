@@ -5,7 +5,9 @@ from scipy import linalg
 
 import distkf
 from distkf import analysis, numerics
-from distkf.errors import InfeasibleDesignError, NoConvergenceError, UnstableAugmentedError
+from distkf.errors import (
+    ConfigError, InfeasibleDesignError, NoConvergenceError, UnstableAugmentedError,
+)
 
 from conftest import (
     heat_grid,
@@ -126,6 +128,18 @@ class TestBuildAugmented:
         aug, _ = build_report(sc, designs, "alg2")
         # (m-1) n^2 + m n + ns = 12 + 8 + 1
         assert aug.dim == 21
+
+    def test_auto_variant_resolves_like_the_simulator(self, example1):
+        sc, designs = example1
+        # n < m on example1, so auto is alg2
+        auto = augment(sc.model, designs, "auto")
+        alg2 = augment(sc.model, designs, "alg2")
+        assert auto.variant == "alg2" and auto.copies == alg2.copies
+        assert auto.block_dims == alg2.block_dims
+        for name in ("atoms", "phi", "P", "E", "Ec", "F", "Ar"):
+            assert np.array_equal(getattr(auto, name), getattr(alg2, name)), name
+        with pytest.raises(ConfigError):
+            augment(sc.model, designs, "alg3")
 
     def test_stable_by_construction(self, example1):
         sc, designs = example1

@@ -93,3 +93,23 @@ def test_child_call_arguments_bind(name):
     for call in calls:
         signature.bind_partial(*[None] * len(call.args),
                                **{kw.arg: None for kw in call.keywords if kw.arg})
+
+
+def _child_reads(name):
+    """Attributes child.py reads off the local variable ``name``."""
+    return {node.attr for node in ast.walk(_child_tree())
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == name}
+
+
+def test_child_scenario_and_design_reads_resolve():
+    # child.py reads fields of the scenario (sc) and of its design (designs)
+    sc = distkf.builtin_scenario("example1", trials=2)
+    designs = distkf.design_pipeline(
+        sc.model, sc.graph, zeta=sc.zeta, stable_poles=sc.stable_poles, variant=sc.variant
+    )
+    for name, owner in (("sc", sc), ("designs", designs)):
+        reads = _child_reads(name)
+        assert reads, f"child.py reads nothing off {name}"
+        missing = sorted(attr for attr in reads if not hasattr(owner, attr))
+        assert not missing, (name, missing)

@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose
 
 import distkf
 from distkf import consensus, numerics
-from distkf.errors import GainInfeasibleError, InfeasibleConditionError, InfeasibleZetaError
+from distkf.errors import (
+    ConfigError, GainInfeasibleError, InfeasibleConditionError, InfeasibleZetaError,
+)
 
 from conftest import matrix_with_spectrum, random_connected_graph, random_observable_model
 
@@ -197,7 +199,7 @@ class TestStrategies:
         assert np.all(gains == g.adjacency)
 
     def test_drop_probability_one_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             distkf.bernoulli_drop_strategy(1.0)
 
     def test_symmetry_per_step(self):

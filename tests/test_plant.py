@@ -139,6 +139,11 @@ class TestGraphs:
             assert np.abs(g.laplacian.sum(axis=1)).max() <= 1e-12
             assert g.mu[0] == 0.0
             assert np.all(g.mu >= -1e-12)
+            # one eigensolve: phi diagonalizes L, orthonormal, ones first
+            m = g.m
+            assert np.abs(g.laplacian @ g.phi - g.phi * g.mu).max() <= 1e-12
+            assert np.abs(g.phi.T @ g.phi - np.eye(m)).max() <= 1e-12
+            assert np.abs(g.phi[:, 0] - 1.0 / np.sqrt(m)).max() <= 1e-12
 
     def test_random_geometric_deterministic(self):
         def adjacency(seed):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -106,6 +107,46 @@ class TestRunTrial:
             distkf.run_trial(
                 sc.model, designs, trial_config(sc, variant="alg2", replace_own=True)
             )
+
+
+def _run_alg1(trials=None, **overrides):
+    """A call that runs example1 with alg1 and the given trial options:
+    Monte Carlo when ``trials`` is given, one trial otherwise."""
+    def call(sc, designs):
+        cfg = trial_config(sc, variant="alg1", **overrides)
+        if trials is None:
+            return distkf.run_trial(sc.model, designs, cfg)
+        return distkf.run_monte_carlo(sc.model, designs, cfg, trials)
+    return call
+
+
+class TestBadLibraryInputs:
+    """Library callers get the checks the CLI's scenarios get: each of
+    these raises ConfigError with one line, before any kernel step and
+    without a warning."""
+
+    @pytest.mark.parametrize("call, needle", [
+        # 1.1^8000 overflows the plant state long before the last step
+        (_run_alg1(trials=20, horizon=8000), "the limit is 289 steps"),
+        (lambda sc, designs: distkf.bernoulli_drop_strategy(1.0), "drop_prob"),
+        (_run_alg1(seed=-1), "seed"),
+        (_run_alg1(replace_own="no"), "true or false"),
+        (_run_alg1(initial_state_cov=np.diag([-1.0, 1.0])), "semidefinite"),
+    ], ids=["horizon-growth", "drop-one", "seed-negative", "replace-own-text",
+            "x0-cov-indefinite"])
+    def test_rejected(self, example1, monkeypatch, call, needle):
+        sc, designs = example1
+
+        def no_kernel(*args):
+            raise AssertionError("the kernel ran")
+        monkeypatch.setattr(_kernels, "sim_alg1", no_kernel)
+        monkeypatch.setattr(_kernels, "sim_alg2", no_kernel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as exc:
+                call(sc, designs)
+        message = str(exc.value)
+        assert needle in message and "\n" not in message
 
 
 _LOOP_CASES = {
