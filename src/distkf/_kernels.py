@@ -5,19 +5,20 @@ side by side (the trial axis), and in each, node i holds r copies of the
 order-n local filter, r = m for variant 1 (one copy per sensor, messages
 of size m) and r = n for variant 2 (messages of size n).  Per step k, with
 residual z_i = y_i(k+1) - beta' xi_i and consensus Laplacian L(k, rho)
-built from the sampled link weights:
+of the links that are up:
 
     xi_i   <- S xi_i + 1 z_i
     state  <- state S' + inject z - (L(k, 0) (state Gamma)) 1'
     state  <- state - (L(k, rho) (state Gamma)) 1'      rho = 1 .. rounds-1
     xbreve <- the read-out of state
 
-``gains`` holds the link weights, (B, T, rounds, m, m) for links that
-change per step, or (B, 1, rounds, m, m) or (1, 1, rounds, m, m) for links
-that never change, whose Laplacians are formed once (and once for the
-batch when every trial has the same links).  Per-step Laplacians are
-formed one step at a time: a (B, T, rounds, m, m) Laplacian next to the
-weights would double the largest array of a batch.
+``flags`` (B, steps, rounds, E) holds one bool flag per trial, step,
+round and edge i < j of ``adj`` in row-major order, True where the link
+is up, and steps = 1 for links that never change.  With the incidence D
+(m, E), columns e_i - e_j, and edge weights w, L = D diag(w flags) D'.
+Flags of one step shared by every trial give one Laplacian per round for
+the whole batch (one matrix product per round); other flags couple each
+trial through D with its own edge weights, ((c D) * w flags) D'.
 
 ``inject`` is None for variant 1, which adds z_i to the own block
 state[i, i] only, and the blocks T_i (m, r, n) for variant 2.  ``read``
@@ -26,7 +27,7 @@ variant 2, in column blocks s = 1..n of r columns each.  Variant 1 with
 ``replace_own`` (``own`` = F) reads the own block as xi_i / m instead of
 state[i, i]; the state itself is unchanged.  The plant and the
 centralized filter are co-simulated on the same noise.  All randomness
-(w, v, x0, link weights) is sampled outside the kernel, per trial, so a
+(w, v, x0, link flags) is sampled outside the kernel, per trial, so a
 trial's result depends on the batch it runs in only through roundoff.
 
 Memory stays fixed across steps.  The state is held coordinate first,
@@ -55,12 +56,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def _laplacian(g):
-    """Laplacians diag(g 1) - g of a stack of link-weight matrices g."""
-    return g.sum(axis=-1)[..., None] * np.eye(g.shape[-1]) - g
-
-
-def _simulate(A, C, Acl, K, S, beta, inject, read, own, Gamma, gains, w, v0, v, x0, chunk=None):
+def _simulate(A, C, Acl, K, S, beta, inject, read, own, Gamma, adj, flags, w, v0, v, x0, chunk):
     B, T, n = w.shape
     m = C.shape[0]
     r = read.shape[1] // n
@@ -91,11 +87,13 @@ def _simulate(A, C, Acl, K, S, beta, inject, read, own, Gamma, gains, w, v0, v, 
 
     xi, xi_next = np.zeros((n, B, m)), np.empty((n, B, m))
     cur, nxt = views(np.zeros((n, r, B, m))), views(np.empty((n, r, B, m)))
-    lapT = None
-    if gains.shape[1] == 1:  # links that never change: one Laplacian for all steps
-        lapT = _laplacian(gains[:, 0]).swapaxes(-1, -2)
-        if np.all(lapT == lapT[:1]):  # and the same in every trial
-            lapT = lapT[:1]
+    head, tail = np.nonzero(np.triu(adj, 1))  # edges i < j, row-major
+    D = np.eye(m)[:, head] - np.eye(m)[:, tail]
+    weights = adj[head, tail]
+    links, rounds = flags.shape[1:3]
+    lap = None
+    if links == 1 and np.all(flags == flags[:1]):  # one Laplacian per round for all
+        lap = (D * (weights * flags[0, 0])[:, None, :]) @ D.T
     steps = T + 1 if chunk is None else min(chunk, T + 1)
     buf = np.zeros((steps, n, B, m))
     if chunk is not None:
@@ -108,9 +106,9 @@ def _simulate(A, C, Acl, K, S, beta, inject, read, own, Gamma, gains, w, v0, v, 
         _apply_S(xi.reshape(n, -1), d, off, xi_next.reshape(n, -1))
         xi_next += z
         xi, xi_next = xi_next, xi
-        lt = lapT if lapT is not None else _laplacian(gains[:, k - 1]).swapaxes(-1, -2)
+        ew = None if lap is not None else weights * flags[:, min(k, links) - 1]
         state, rows, flat, own_blocks = nxt
-        u = _couple(gamma @ cur[1][: gamma.size], lt[:, 0], r, B, m)
+        u = _couple(gamma @ cur[1][: gamma.size], lap, ew, D, 0, r, B, m)
         _apply_S(cur[1], d, off, rows)
         if inject is None:  # z_i 1 enters the own block the way the coupling does
             own_u = np.einsum("ibi->bi", u)
@@ -118,8 +116,8 @@ def _simulate(A, C, Acl, K, S, beta, inject, read, own, Gamma, gains, w, v0, v, 
         else:
             state += inject * z
         state -= u
-        for rho in range(1, lt.shape[1]):
-            state -= _couple(gamma @ rows[: gamma.size], lt[:, rho], r, B, m)
+        for rho in range(1, rounds):
+            state -= _couple(gamma @ rows[: gamma.size], lap, ew, D, rho, r, B, m)
         cur, nxt = nxt, cur
         if k - t0 == steps:  # buffer full: sum it, then start the next chunk
             _reduce(buf, x_t, xhat_t, t0, sq_err, sq_dev)
@@ -144,13 +142,15 @@ def _apply_S(src, d, off, dst):
         dst[i] += s * src[j]
 
 
-def _couple(c, lapT, r, B, m):
-    """The coupling L c as (r, B, m), for c = Gamma' state flattened from
-    (r, B, m) and transposed Laplacians lapT, (1, m, m) when every trial
-    shares them (one matrix product), else (B, m, m)."""
-    if lapT.shape[0] == 1:
-        return (c.reshape(-1, m) @ lapT[0]).reshape(r, B, m)
-    return np.matmul(c.reshape(r, B, m).transpose(1, 0, 2), lapT).transpose(1, 0, 2)
+def _couple(c, lap, ew, D, rho, r, B, m):
+    """The coupling L c of round rho as (r, B, m), for c = Gamma' state
+    flattened from (r, B, m): one product with the shared Laplacians
+    ``lap`` (rounds, m, m), or else, with ``lap`` None, through the
+    incidence D with each trial's edge weights ``ew`` (B, rounds, E)."""
+    c = c.reshape(-1, m)
+    if lap is not None:
+        return (c @ lap[rho]).reshape(r, B, m)
+    return (((c @ D).reshape(r, B, -1) * ew[:, rho]).reshape(r * B, -1) @ D.T).reshape(r, B, m)
 
 
 def _reduce(buf, x_t, xhat_t, t0, sq_err, sq_dev):
@@ -164,16 +164,16 @@ def _reduce(buf, x_t, xhat_t, t0, sq_err, sq_dev):
     np.einsum("ksbi,ksbi->ksi", e, e, out=sq_dev[t0:t1])
 
 
-def sim_alg1(A, C, Acl, K, S, beta, F, Gamma, gains, w, v0, v, x0, replace_own, chunk=None):
+def sim_alg1(A, C, Acl, K, S, beta, F, Gamma, adj, flags, w, v0, v, x0, replace_own, chunk=None):
     """Variant 1: F (m,n,n) are the fusion weights F_j."""
     m, n = F.shape[:2]
     read = m * F.transpose(1, 2, 0).reshape(n, n * m)
     own = F if replace_own else None
-    return _simulate(A, C, Acl, K, S, beta, None, read, own, Gamma, gains, w, v0, v, x0, chunk)
+    return _simulate(A, C, Acl, K, S, beta, None, read, own, Gamma, adj, flags, w, v0, v, x0, chunk)
 
 
-def sim_alg2(A, C, Acl, K, S, beta, Tb, Gamma, gains, w, v0, v, x0, chunk=None):
+def sim_alg2(A, C, Acl, K, S, beta, Tb, Gamma, adj, flags, w, v0, v, x0, chunk=None):
     """Variant 2: Tb (m,n,n) stacks the reduced-order blocks T_i."""
     m, n = Tb.shape[:2]
     read = m * np.kron(beta[None, :], np.eye(n))
-    return _simulate(A, C, Acl, K, S, beta, Tb, read, None, Gamma, gains, w, v0, v, x0, chunk)
+    return _simulate(A, C, Acl, K, S, beta, Tb, read, None, Gamma, adj, flags, w, v0, v, x0, chunk)

@@ -215,13 +215,11 @@ class StaticStrategy:
     """Perfect links: gamma_ij(k) = 1 for every edge and step."""
 
     def sample_gains(self, adjacency, horizon, rounds, rng=None):
-        """Effective link weights a_ij * gamma_ij for every step and
-        consensus round, shape (horizon, rounds, m, m), symmetric.  Random
-        draws come from the Generator ``rng``, the trial's link stream.
-        The result may be a read-only view."""
-        adjacency = np.asarray(adjacency, dtype=float)
-        m = adjacency.shape[0]
-        return np.broadcast_to(adjacency, (horizon, rounds, m, m))
+        """Link flags (steps, rounds, E), True where the link is up, one
+        per step, consensus round and edge i < j of ``adjacency`` in
+        row-major order: here all True, with steps = 1 for links that never
+        change.  ``rng`` is the trial's link stream; this draws nothing."""
+        return np.ones((1, rounds, np.count_nonzero(adjacency) // 2), dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,16 +236,10 @@ class BernoulliDropStrategy:
             raise ConfigError(f"drop_prob must lie in [0, 1), got {self.drop_prob}")
 
     def sample_gains(self, adjacency, horizon, rounds, rng):
-        adjacency = np.asarray(adjacency, dtype=float)
-        m = adjacency.shape[0]
-        edges = [(i, j) for i in range(m) for j in range(i + 1, m) if adjacency[i, j] > 0]
-        out = np.zeros((horizon, rounds, m, m))
-        keep = rng.random((horizon, rounds, len(edges))) >= self.drop_prob
-        for e, (i, j) in enumerate(edges):
-            w = adjacency[i, j]
-            out[:, :, i, j] = w * keep[:, :, e]
-            out[:, :, j, i] = out[:, :, i, j]
-        return out
+        """Link flags (horizon, rounds, E) as for ``StaticStrategy``,
+        each True with probability 1 - drop_prob, from one uniform draw
+        of ``rng``, the trial's link stream."""
+        return rng.random((horizon, rounds, np.count_nonzero(adjacency) // 2)) >= self.drop_prob
 
 
 def static_strategy() -> StaticStrategy:

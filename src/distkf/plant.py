@@ -159,8 +159,9 @@ def build_graph(adjacency) -> SensorGraph:
         raise DimensionMismatchError("adjacency weights must be nonnegative")
     if np.any(np.diag(A) != 0):
         raise DimensionMismatchError("adjacency diagonal must be zero")
+    A = 0.5 * (A + A.T)  # exactly symmetric: (i, j) and (j, i) are one link
     L = np.diag(A.sum(axis=1)) - A
-    mu, phi = np.linalg.eigh(0.5 * (L + L.T))
+    mu, phi = np.linalg.eigh(L)
     if m > 1 and mu[1] <= _CONNECTIVITY_TOL:
         raise DisconnectedGraphError(f"graph is disconnected (mu_2 = {mu[1]:.2e})")
     mu[0] = 0.0

@@ -196,21 +196,16 @@ def example1_scenario(trials: int = 5000, seed: int = 12345) -> Scenario:
 # --- built-in example 2: heat diffusion on a grid --------------------------
 
 def heat_transition(N: int = 5, alpha: float = 0.2) -> np.ndarray:
-    """Zero-flux diffusion step on an N x N grid: I - alpha * L_grid.
+    """Zero-flux diffusion step on an N x N grid: I - alpha * L_grid, with
+    L_grid = P (x) I + I (x) P for the Laplacian P of an N-node path.
 
     The grid-graph Laplacian keeps the constant temperature profile
     invariant, so the transition matrix has a single eigenvalue at 1.
     """
-    n = N * N
-    L = np.zeros((n, n))
-    for i in range(N):
-        for j in range(N):
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < N and 0 <= jj < N:
-                    L[i * N + j, i * N + j] += 1.0
-                    L[i * N + j, ii * N + jj] -= 1.0
-    return np.eye(n) - alpha * L
+    path = np.eye(N, k=1) + np.eye(N, k=-1)
+    P = np.diag(path.sum(axis=1)) - path  # Laplacian of the N-node path
+    I = np.eye(N)
+    return np.eye(N * N) - alpha * (np.kron(P, I) + np.kron(I, P))
 
 
 def interpolation_rows(positions: np.ndarray, N: int = 5, h: float = 1.0) -> np.ndarray:

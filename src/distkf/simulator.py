@@ -55,7 +55,15 @@ def resolve_variant(variant: str, n: int, m: int) -> str:
 
 
 def message_dimension(variant: str, n: int, m: int) -> int:
-    return m if variant == "alg1" else n
+    """Numbers per broadcast of ``variant`` (``auto`` resolved first)."""
+    return m if resolve_variant(variant, n, m) == "alg1" else n
+
+
+def _check_seed(seed) -> None:
+    """A seed is a non-negative int, or a non-empty tuple or list of them."""
+    parts = seed if isinstance(seed, (tuple, list)) else [seed]
+    if not parts or not all(isinstance(s, (int, np.integer)) and s >= 0 for s in parts):
+        raise ConfigError(f"seed must be a non-negative int or tuple of them, got {seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,9 +90,7 @@ class TrialConfig:
 
     def __post_init__(self):
         # runs on every construction, dataclasses.replace included
-        parts = self.seed if isinstance(self.seed, (tuple, list)) else [self.seed]
-        if not parts or not all(isinstance(s, (int, np.integer)) and s >= 0 for s in parts):
-            raise ConfigError(f"seed must be a non-negative int or tuple of them, got {self.seed!r}")
+        _check_seed(self.seed)
         if self.horizon < 0:
             raise ConfigError(f"horizon must be non-negative, got {self.horizon}")
         if self.rounds_per_sample < 1:
@@ -159,7 +165,7 @@ def run_trial(
     trials run as one batch: every array of the returned trace gains a
     leading trial axis, and slice t equals the trial run alone with
     ``seeds[t]`` up to roundoff.  Each trial draws its noise and link
-    weights from its own streams, in the same order as a single trial.
+    flags from its own streams, in the same order as a single trial.
 
     With ``chunk`` (steps of node estimates the kernel buffers) no trace
     is kept: the result is the ``MonteCarloResult`` of the batch, the
@@ -173,6 +179,8 @@ def run_trial(
     batch = [config.seed] if seeds is None else list(seeds)
     if not batch:
         raise ConfigError("seeds must hold at least one seed")
+    for seed in batch:
+        _check_seed(seed)
     Lq, Lr = psd_factor(model.Q), psd_factor(model.R)
     L0 = None
     if config.initial_state_cov is not None:
@@ -180,7 +188,7 @@ def run_trial(
     x0 = np.zeros((len(batch), n))
     w = np.empty((len(batch), T, n))
     v = np.empty((len(batch), T + 1, m))
-    gains = None
+    flags = []
     for b, seed in enumerate(batch):
         noise_ss, link_ss = np.random.SeedSequence(seed).spawn(2)
         noise_rng = _rng(noise_ss)
@@ -188,29 +196,20 @@ def run_trial(
             x0[b] = L0 @ noise_rng.standard_normal(n)
         noise_rng.standard_normal(out=w[b])
         noise_rng.standard_normal(out=v[b])
-        g = config.strategy.sample_gains(
-            designs.graph.adjacency, T, config.rounds_per_sample, _rng(link_ss)
-        )
-        # links that never change are passed once, not once per step
-        g = g[:1] if g.strides[0] == 0 else g
-        if gains is None:
-            gains = np.empty((len(batch),) + g.shape)
-        gains[b] = g
+        flags.append(config.strategy.sample_gains(designs.graph.adjacency, T,
+                                                  config.rounds_per_sample, _rng(link_ss)))
     w = w @ Lq.T
     v = v @ Lr.T
 
     kd, bundle = designs.kalman, designs.bundle
+    plant = (model.A, model.C, kd.Acl, kd.K, bundle.S, bundle.beta)
+    drive = (designs.consensus.Gamma, designs.graph.adjacency, np.stack(flags), w, v[:, 0],
+             v[:, 1:], x0)
     if variant == "alg1":
-        out = _kernels.sim_alg1(
-            model.A, model.C, kd.Acl, kd.K, bundle.S, bundle.beta, bundle.F,
-            designs.consensus.Gamma, gains, w, v[:, 0], v[:, 1:], x0, config.replace_own, chunk,
-        )
+        out = _kernels.sim_alg1(*plant, bundle.F, *drive, config.replace_own, chunk)
     else:
         Tb = np.stack([designs.reduced.T_blocks(i) for i in range(m)])
-        out = _kernels.sim_alg2(
-            model.A, model.C, kd.Acl, kd.K, bundle.S, bundle.beta, Tb,
-            designs.consensus.Gamma, gains, w, v[:, 0], v[:, 1:], x0, chunk,
-        )
+        out = _kernels.sim_alg2(*plant, Tb, *drive, chunk)
     if chunk is not None:
         sq_err, sq_dev = out
         sq_err /= len(batch)
@@ -244,9 +243,10 @@ class MonteCarloResult:
 
 # Byte budget of one Monte-Carlo batch, counted on each trial's working
 # set in the kernel: the two buffers of its local filters and consensus
-# state, its noise and plant arrays (w, v, x, y, xhat), its link weights
-# when they change per step, and its share of the chunk, 16 m n bytes per
-# buffered step (the node estimates and their difference from x or xhat).
+# state, its noise and plant arrays (w, v, x, y, xhat), its link flags
+# when they change per step (a byte per step, round and edge), and its
+# share of the chunk, 16 m n bytes per buffered step (the node estimates
+# and their difference from x or xhat).
 # A chunk holds as many steps as fit in 1/64 of the budget for one trial,
 # at most the whole horizon; a batch then holds as many trials as fit.
 # On a 2-core Xeon with 2 MB of L2 per core, heat (example2) ran fastest
@@ -255,16 +255,16 @@ class MonteCarloResult:
 _BATCH_BYTES = 7 * 256 * 1024
 
 
-def _batch_plan(model: SystemModel, config: TrialConfig, variant: str):
+def _batch_plan(model: SystemModel, graph: SensorGraph, config: TrialConfig, variant: str):
     """Trials per batch and steps per chunk under ``_BATCH_BYTES``."""
     T, m, n = int(config.horizon), model.m, model.n
     r = message_dimension(variant, n, m)
-    fixed = 2 * m * (r + 1) * n + T * n + (T + 1) * 2 * (n + m)
+    fixed = 8 * (2 * m * (r + 1) * n + T * n + (T + 1) * 2 * (n + m))
     if not isinstance(config.strategy, StaticStrategy):
-        fixed += T * config.rounds_per_sample * m * m
+        fixed += T * config.rounds_per_sample * (np.count_nonzero(graph.adjacency) // 2)
     step = 16 * m * n
     chunk = min(T + 1, max(1, _BATCH_BYTES // (64 * step)))
-    return max(1, _BATCH_BYTES // (8 * fixed + chunk * step)), chunk
+    return max(1, _BATCH_BYTES // (fixed + chunk * step)), chunk
 
 
 def run_monte_carlo(
@@ -284,7 +284,7 @@ def run_monte_carlo(
     base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     variant = check_trial(model, config)
     T, m = int(config.horizon), model.m
-    size, chunk = _batch_plan(model, config, variant)
+    size, chunk = _batch_plan(model, designs.graph, config, variant)
     mse = np.zeros((T + 1, m, model.n))
     dev_sq = np.zeros((T + 1, m, model.n))
     for start in range(0, trials, size):
@@ -300,28 +300,20 @@ def run_monte_carlo(
 
 # --- CSV export -----------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _write_csv(path, cols, rows: np.ndarray) -> None:
+    """The header ``cols``, then row k of ``rows`` as k and each value's repr."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(cols) + "\n")
+        for k, row in enumerate(rows):
+            fh.write(",".join([str(k)] + [repr(v) for v in row.tolist()]) + "\n")
 
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:
     """Header: k,x_1..x_n,xhat_1..xhat_n,node<i>_xbreve_1..n,..."""
-    n = trace.x.shape[1]
-    m = trace.xbreve.shape[1]
-    cols = ["k"]
-    cols += [f"x_{s + 1}" for s in range(n)]
-    cols += [f"xhat_{s + 1}" for s in range(n)]
-    for i in range(m):
-        cols += [f"node{i + 1}_xbreve_{s + 1}" for s in range(n)]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in range(trace.horizon + 1):
-            row = [str(k)]
-            row += [_fmt(v) for v in trace.x[k]]
-            row += [_fmt(v) for v in trace.xhat[k]]
-            for i in range(m):
-                row += [_fmt(v) for v in trace.xbreve[k, i]]
-            fh.write(",".join(row) + "\n")
+    steps, m, n = trace.xbreve.shape
+    cols = ["k"] + [f"x_{s + 1}" for s in range(n)] + [f"xhat_{s + 1}" for s in range(n)]
+    cols += [f"node{i + 1}_xbreve_{s + 1}" for i in range(m) for s in range(n)]
+    _write_csv(path, cols, np.hstack([trace.x, trace.xhat, trace.xbreve.reshape(steps, -1)]))
 
 
 def write_mse_csv(result: MonteCarloResult, path) -> None:
@@ -329,13 +321,6 @@ def write_mse_csv(result: MonteCarloResult, path) -> None:
     steps, m, n = result.mse.shape
     cols = ["k"]
     for i in range(m):
-        cols += [f"node{i + 1}_mse_{s + 1}" for s in range(n)]
-        cols.append(f"node{i + 1}_mse")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in range(steps):
-            row = [str(k)]
-            for i in range(m):
-                row += [_fmt(v) for v in result.mse[k, i]]
-                row.append(_fmt(result.mse[k, i].sum()))
-            fh.write(",".join(row) + "\n")
+        cols += [f"node{i + 1}_mse_{s + 1}" for s in range(n)] + [f"node{i + 1}_mse"]
+    total = result.mse.sum(axis=2)[..., None]
+    _write_csv(path, cols, np.concatenate([result.mse, total], axis=2).reshape(steps, -1))

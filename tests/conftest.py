@@ -170,7 +170,7 @@ def trial_config(sc, **overrides):
 def kernel_args(model, designs, cfg):
     """Positional arguments of the variant's kernel for one trial,
     without the trailing replace_own and without the trial axis: the
-    noise and link weights that ``run_trial`` draws for ``cfg``."""
+    noise and link flags that ``run_trial`` draws for ``cfg``."""
     noise_ss, link_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     rng = np.random.Generator(np.random.Philox(noise_ss))
     x0 = np.zeros(model.n)
@@ -178,7 +178,8 @@ def kernel_args(model, designs, cfg):
         x0 = psd_factor(cfg.initial_state_cov) @ rng.standard_normal(model.n)
     w = rng.standard_normal((cfg.horizon, model.n)) @ psd_factor(model.Q).T
     v = rng.standard_normal((cfg.horizon + 1, model.m)) @ psd_factor(model.R).T
-    gains = cfg.strategy.sample_gains(designs.graph.adjacency, cfg.horizon, cfg.rounds_per_sample,
+    adjacency = designs.graph.adjacency
+    flags = cfg.strategy.sample_gains(adjacency, cfg.horizon, cfg.rounds_per_sample,
                                       np.random.Generator(np.random.Philox(link_ss)))
     if distkf.resolve_variant(cfg.variant, model.n, model.m) == "alg1":
         blocks = designs.bundle.F
@@ -186,14 +187,46 @@ def kernel_args(model, designs, cfg):
         blocks = np.stack([designs.reduced.T_blocks(i) for i in range(model.m)])
     kd = designs.kalman
     return (model.A, model.C, kd.Acl, kd.K, designs.bundle.S, designs.bundle.beta, blocks,
-            designs.consensus.Gamma, gains, w, v[0], v[1:], x0)
+            designs.consensus.Gamma, adjacency, flags, w, v[0], v[1:], x0)
+
+
+def edges(adjacency):
+    """The edges i < j of ``adjacency`` in row-major order, as two index
+    arrays."""
+    return np.nonzero(np.triu(adjacency, 1))
+
+
+def incidence(adjacency):
+    """The incidence matrix (m, E) of ``edges(adjacency)``, columns e_i - e_j."""
+    i, j = edges(adjacency)
+    eye = np.eye(adjacency.shape[0])
+    return eye[:, i] - eye[:, j]
+
+
+def dense_weights(adjacency, flags, horizon):
+    """The link weights a_ij flag_ij(k, rho) as (horizon, rounds, m, m),
+    symmetric, from the flags (steps, rounds, E) of one trial."""
+    i, j = edges(adjacency)
+    m = adjacency.shape[0]
+    out = np.zeros(flags.shape[:2] + (m, m))
+    out[:, :, i, j] = adjacency[i, j] * flags
+    out[:, :, j, i] = out[:, :, i, j]
+    return np.broadcast_to(out, (horizon,) + out.shape[1:])
+
+
+def loop_args(args):
+    """The arguments of ``loop_kernels.sim_alg1_loops``/``sim_alg2_loops``
+    (before replace_own and rounds) for the kernel arguments ``args`` of
+    one trial: the adjacency and flags become dense link weights."""
+    adjacency, flags, w = args[8:11]
+    return args[:8] + (dense_weights(adjacency, flags, w.shape[0]),) + args[10:]
 
 
 def kernel_run(model, designs, cfg):
     """The kernel's outputs for the trial ``cfg`` describes, run as a
     batch of one and returned without the trial axis."""
     args = kernel_args(model, designs, cfg)
-    batch = args[:8] + tuple(a[None] for a in args[8:])
+    batch = args[:9] + tuple(a[None] for a in args[9:])
     if distkf.resolve_variant(cfg.variant, model.n, model.m) == "alg1":
         out = _kernels.sim_alg1(*batch, cfg.replace_own)
     else:

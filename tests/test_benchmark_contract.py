@@ -113,3 +113,43 @@ def test_child_scenario_and_design_reads_resolve():
         assert reads, f"child.py reads nothing off {name}"
         missing = sorted(attr for attr in reads if not hasattr(owner, attr))
         assert not missing, (name, missing)
+
+
+@pytest.mark.parametrize("drop", [0.0, 0.2], ids=["static", "bernoulli"])
+@pytest.mark.parametrize("variant", ["alg1", "alg2"])
+def test_traced_calls_per_batch_and_trial(monkeypatch, variant, drop):
+    # the harness times the spans simulator.trial, simulator.link_gains and
+    # simulator.kernel per call; Monte Carlo must call run_trial and the
+    # kernel once per batch, and the strategy's sample_gains once per trial
+    from distkf import _kernels, simulator
+
+    sc = distkf.builtin_scenario("example1", trials=2)
+    designs = distkf.design_pipeline(sc.model, sc.graph, zeta=sc.zeta,
+                                     stable_poles=sc.stable_poles, variant=sc.variant)
+    strategy = distkf.bernoulli_drop_strategy(drop) if drop else distkf.static_strategy()
+    cfg = distkf.TrialConfig(horizon=20, seed=3, variant=variant, strategy=strategy,
+                             rounds_per_sample=2)
+    budget = simulator._BATCH_BYTES
+    while simulator._batch_plan(sc.model, designs.graph, cfg, variant)[0] > 3:
+        budget //= 2
+        monkeypatch.setattr(simulator, "_BATCH_BYTES", budget)
+    size = simulator._batch_plan(sc.model, designs.graph, cfg, variant)[0]
+    assert size >= 2
+    calls = {"run_trial": 0, "sample_gains": 0, "sim_alg1": 0, "sim_alg2": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(simulator, "run_trial")
+    counted(type(strategy), "sample_gains")
+    counted(_kernels, "sim_alg1")
+    counted(_kernels, "sim_alg2")
+    trials = 2 * size + 1
+    distkf.run_monte_carlo(sc.model, designs, cfg, trials)
+    other = "sim_alg2" if variant == "alg1" else "sim_alg1"
+    assert calls == {"run_trial": 3, "sample_gains": trials, f"sim_{variant}": 3, other: 0}

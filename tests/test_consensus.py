@@ -8,7 +8,14 @@ from distkf.errors import (
     ConfigError, GainInfeasibleError, InfeasibleConditionError, InfeasibleZetaError,
 )
 
-from conftest import matrix_with_spectrum, random_connected_graph, random_observable_model
+from conftest import (
+    dense_weights,
+    edges,
+    incidence,
+    matrix_with_spectrum,
+    random_connected_graph,
+    random_observable_model,
+)
 
 
 class TestCheckCondition:
@@ -185,18 +192,27 @@ class TestDesignConsensus:
             done += 1
 
 
+def _flag_laplacians(adjacency, flags):
+    """The Laplacians D diag(w flags) D' of flags (steps, rounds, E)."""
+    D = incidence(adjacency)
+    i, j = edges(adjacency)
+    return (D * (adjacency[i, j] * flags)[..., None, :]) @ D.T
+
+
 class TestStrategies:
     def test_static_gains_are_adjacency(self):
         g = distkf.ring_graph(4, 1.5)
-        gains = distkf.static_strategy().sample_gains(g.adjacency, 7, 2)
-        assert gains.shape == (7, 2, 4, 4)
-        assert np.all(gains == g.adjacency)
+        flags = distkf.static_strategy().sample_gains(g.adjacency, 7, 2)
+        assert flags.dtype == bool and flags.shape == (1, 2, 4)
+        assert np.all(flags)
+        assert np.array_equal(_flag_laplacians(g.adjacency, flags)[0, 1], g.laplacian)
 
     def test_drop_zero_equals_static(self):
         g = distkf.ring_graph(4, 1.0)
         rng = np.random.default_rng(5)
-        gains = distkf.bernoulli_drop_strategy(0.0).sample_gains(g.adjacency, 5, 1, rng)
-        assert np.all(gains == g.adjacency)
+        flags = distkf.bernoulli_drop_strategy(0.0).sample_gains(g.adjacency, 5, 1, rng)
+        assert flags.shape == (5, 1, 4)
+        assert np.all(flags)
 
     def test_drop_probability_one_rejected(self):
         with pytest.raises(ConfigError):
@@ -205,20 +221,22 @@ class TestStrategies:
     def test_symmetry_per_step(self):
         g = distkf.ring_graph(6, 1.0)
         rng = np.random.default_rng(11)
-        gains = distkf.bernoulli_drop_strategy(0.4).sample_gains(g.adjacency, 50, 1, rng)
-        assert np.all(gains == np.swapaxes(gains, -1, -2))
+        flags = distkf.bernoulli_drop_strategy(0.4).sample_gains(g.adjacency, 50, 1, rng)
+        lap = _flag_laplacians(g.adjacency, flags)
+        assert np.all(lap == np.swapaxes(lap, -1, -2))
+        assert_allclose(lap.sum(axis=-1), 0.0, atol=1e-12)
         # drops actually happen
-        assert gains.sum() < distkf.static_strategy().sample_gains(g.adjacency, 50, 1).sum()
+        assert 0 < flags.sum() < flags.size
 
     def test_coupling_sums_to_zero(self):
         # symmetric per-link coefficients keep sum_i u_i(k) = 0 exactly
         g = distkf.ring_graph(5, 1.0)
         rng = np.random.default_rng(13)
-        gains = distkf.bernoulli_drop_strategy(0.3).sample_gains(g.adjacency, 20, 1, rng)
+        flags = distkf.bernoulli_drop_strategy(0.3).sample_gains(g.adjacency, 20, 1, rng)
+        lap = _flag_laplacians(g.adjacency, flags)
         delta = rng.standard_normal((5, 3))
         for k in range(20):
-            W = gains[k, 0]
-            u = W @ delta - W.sum(axis=1)[:, None] * delta
+            u = -lap[k, 0] @ delta
             assert_allclose(u.sum(axis=0), 0.0, atol=1e-12)
 
     def test_same_stream_reproducible(self):
@@ -229,4 +247,22 @@ class TestStrategies:
         a = s.sample_gains(g.adjacency, 10, 1, np.random.Generator(np.random.Philox(ss)))
         b = s.sample_gains(g.adjacency, 10, 1, np.random.Generator(np.random.Philox(ss)))
         assert np.array_equal(a, b)
-        assert 0 < a.sum() < distkf.static_strategy().sample_gains(g.adjacency, 10, 1).sum()
+        assert 0 < a.sum() < a.size
+
+    def test_flags_select_the_dense_weights_edges(self):
+        # a seeded trial of the ex1-drop scenario (4-ring, 20% drops, 3
+        # rounds): its flags pick the links of the dense (T, rounds, m, m)
+        # weights drawn from the same stream, one uniform per edge i < j
+        # in row-major order
+        g, T, rounds, p = distkf.ring_graph(4, 1.0), 100, 3, 0.2
+        link_ss = np.random.SeedSequence((51, 7)).spawn(2)[1]
+        flags = distkf.bernoulli_drop_strategy(p).sample_gains(
+            g.adjacency, T, rounds, np.random.Generator(np.random.Philox(link_ss)))
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4) if g.adjacency[i, j] > 0]
+        keep = np.random.Generator(np.random.Philox(link_ss)).random((T, rounds, len(pairs))) >= p
+        want = np.zeros((T, rounds, 4, 4))
+        for e, (i, j) in enumerate(pairs):
+            want[:, :, i, j] = want[:, :, j, i] = g.adjacency[i, j] * keep[:, :, e]
+        assert np.array_equal(dense_weights(g.adjacency, flags, T), want)
+        assert np.array_equal(_flag_laplacians(g.adjacency, flags),
+                              np.sum(want, axis=-1)[..., None] * np.eye(4) - want)

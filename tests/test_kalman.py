@@ -122,8 +122,8 @@ class TestOrthogonality:
         w, v = wv[..., :2] @ psd_factor(model.Q).T, wv[..., 2:] @ psd_factor(model.R).T
         _, y, xhat = _kernels.sim_alg1(
             model.A, model.C, designs.kalman.Acl, designs.kalman.K, b.S, b.beta, b.F,
-            designs.consensus.Gamma, np.zeros((1, 1, 1, 4, 4)), w, np.zeros((trials, 4)), v,
-            z[:, :2], False,
+            designs.consensus.Gamma, designs.graph.adjacency, np.zeros((1, 1, 1, 4), dtype=bool),
+            w, np.zeros((trials, 4)), v, z[:, :2], False,
         )[:3]
         innov = y[:, burn + 1] - xhat[:, burn] @ (model.C @ model.A).T
         prods = innov[:, :, None] * xhat[:, burn, None, :]

@@ -130,6 +130,16 @@ class TestGraphs:
         with pytest.raises(DimensionMismatchError):
             distkf.build_graph(adj)
 
+    def test_near_symmetric_adjacency_made_symmetric(self):
+        # an asymmetry inside the tolerance, even in the pattern, leaves
+        # one undirected link per pair, as the per-edge link flags count them
+        adj = distkf.ring_graph(4, 1.0).adjacency.copy()
+        adj[0, 2] = 1e-13
+        g = distkf.build_graph(adj)
+        assert np.array_equal(g.adjacency, g.adjacency.T)
+        assert np.array_equal(g.laplacian, g.laplacian.T)
+        assert np.count_nonzero(g.adjacency) // 2 == np.count_nonzero(np.triu(g.adjacency, 1))
+
     def test_laplacian_row_sums_and_nonnegative_spectrum(self):
         rng = np.random.default_rng(4)
         from conftest import random_connected_graph

@@ -9,7 +9,15 @@ import distkf
 from distkf import _kernels, simulator
 from distkf.errors import ConfigError
 
-from conftest import heat_grid, kernel_args, kernel_run, matrix_with_spectrum, trial_config
+from conftest import (
+    edges,
+    heat_grid,
+    kernel_args,
+    kernel_run,
+    loop_args,
+    matrix_with_spectrum,
+    trial_config,
+)
 from loop_kernels import sim_alg1_loops, sim_alg2_loops
 
 
@@ -27,6 +35,9 @@ class TestVariantSelection:
     def test_message_dimension(self):
         assert distkf.message_dimension("alg1", 2, 4) == 4
         assert distkf.message_dimension("alg2", 2, 4) == 2
+        # auto resolves first: alg1 (messages of size m) when n >= m
+        assert distkf.message_dimension("auto", 25, 15) == 15
+        assert distkf.message_dimension("auto", 2, 4) == 2
 
 
 class TestPlantNoise:
@@ -109,13 +120,14 @@ class TestRunTrial:
             )
 
 
-def _run_alg1(trials=None, **overrides):
+def _run_alg1(trials=None, seeds=None, **overrides):
     """A call that runs example1 with alg1 and the given trial options:
-    Monte Carlo when ``trials`` is given, one trial otherwise."""
+    Monte Carlo when ``trials`` is given, a batch when ``seeds`` is, one
+    trial otherwise."""
     def call(sc, designs):
         cfg = trial_config(sc, variant="alg1", **overrides)
         if trials is None:
-            return distkf.run_trial(sc.model, designs, cfg)
+            return distkf.run_trial(sc.model, designs, cfg, seeds=seeds)
         return distkf.run_monte_carlo(sc.model, designs, cfg, trials)
     return call
 
@@ -132,8 +144,10 @@ class TestBadLibraryInputs:
         (_run_alg1(seed=-1), "seed"),
         (_run_alg1(replace_own="no"), "true or false"),
         (_run_alg1(initial_state_cov=np.diag([-1.0, 1.0])), "semidefinite"),
+        (_run_alg1(seeds=[(1, 2), -1]), "seed"),
+        (_run_alg1(seeds=[(1, 2.5)]), "seed"),
     ], ids=["horizon-growth", "drop-one", "seed-negative", "replace-own-text",
-            "x0-cov-indefinite"])
+            "x0-cov-indefinite", "batch-seed-negative", "batch-seed-float"])
     def test_rejected(self, example1, monkeypatch, call, needle):
         sc, designs = example1
 
@@ -193,7 +207,8 @@ class TestKernelAgainstLoopReference:
         cfg = trial_config(sc, horizon=25, seed=8, **_LOOP_CASES[case])
         loops = sim_alg1_loops if cfg.variant == "alg1" else sim_alg2_loops
         got = kernel_run(sc.model, designs, cfg)
-        want = loops(*kernel_args(sc.model, designs, cfg), cfg.replace_own, cfg.rounds_per_sample)
+        want = loops(*loop_args(kernel_args(sc.model, designs, cfg)), cfg.replace_own,
+                     cfg.rounds_per_sample)
         for a, b in zip(got, want):
             # entries near zero carry the roundoff of the array's scale
             assert_allclose(a, b, rtol=1e-10, atol=1e-10 * np.max(np.abs(b)))
@@ -228,9 +243,10 @@ class TestKernelAgainstLoopReference:
             kernel, loops, flag = _kernels.sim_alg1, sim_alg1_loops, (True,)
         else:
             kernel, loops, flag = _kernels.sim_alg2, sim_alg2_loops, ()
-        wants = [loops(*a, replace_own, 2) for a in args]
-        # the model and design matrices are shared; noise and links stack
-        batched = kernel(*args[0][:8], *(np.stack(z) for z in zip(*(a[8:] for a in args))),
+        wants = [loops(*loop_args(a), replace_own, 2) for a in args]
+        # the model, design matrices and adjacency are shared; noise and
+        # link flags stack
+        batched = kernel(*args[0][:9], *(np.stack(z) for z in zip(*(a[9:] for a in args))),
                          *flag)
         for t, (cfg, want) in enumerate(zip(cfgs, wants)):
             for one, many, ref in zip(kernel_run(model, designs, cfg), batched, want):
@@ -238,16 +254,31 @@ class TestKernelAgainstLoopReference:
                 assert_allclose(one, ref, **tol)
                 assert_allclose(many[t], ref, **tol)
 
+    def test_fixed_links_that_differ_per_trial(self, example1):
+        # one-step flags that differ between the trials of a batch take the
+        # per-edge path instead of the Laplacian shared by the batch
+        sc, designs = example1
+        args = [list(kernel_args(sc.model, designs, trial_config(
+            sc, horizon=25, seed=(9, t), variant="alg1", rounds_per_sample=2)))
+            for t in range(2)]
+        args[1][9] = args[1][9].copy()
+        args[1][9][0, 1, 2] = False  # trial 1 never uses edge 2 in round 2
+        batched = _kernels.sim_alg1(*args[0][:9],
+                                    *(np.stack(z) for z in zip(*(a[9:] for a in args))), False)
+        for t, a in enumerate(args):
+            for many, ref in zip(batched, sim_alg1_loops(*loop_args(tuple(a)), False, 2)):
+                assert_allclose(many[t], ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+
     def test_isolated_alg2_matches_alg1_fusion(self, example1):
         # with every link cut both variants reproduce the same fused output
         # (same transfer function from z to the estimate)
         sc, designs = example1
         args = list(kernel_args(sc.model, designs, trial_config(sc, horizon=40, seed=23,
                                                                 variant="alg2")))
-        args[8] = np.zeros_like(args[8])
-        xbreve2 = sim_alg2_loops(*args, False, 1)[3]
+        args[9] = np.zeros_like(args[9])  # every link flag down
+        xbreve2 = sim_alg2_loops(*loop_args(tuple(args)), False, 1)[3]
         args[6] = designs.bundle.F
-        _, _, _, xbreve1, xi, eta = sim_alg1_loops(*args, False, 1)
+        _, _, _, xbreve1, xi, eta = sim_alg1_loops(*loop_args(tuple(args)), False, 1)
         # alg1: node i's own block is its local filter, the others stay 0
         own = np.eye(4, dtype=bool)
         assert_allclose(eta[own], xi, atol=1e-10)
@@ -332,7 +363,7 @@ class TestBatchedTrials:
         sc, designs = example1
         cfg = trial_config(sc, horizon=20, seed=6, **_LOOP_CASES[case])
         T = 20
-        fixed, step = _trial_bytes(cfg, n=2, m=4)
+        fixed, step = _trial_bytes(cfg, designs.graph, n=2)
         # a chunk holds the steps that fit in 1/64 of the budget: take the
         # shortest chunk that a budget of 3 trials with that chunk gives back
         for chunk in range(1, T + 2):
@@ -362,12 +393,12 @@ class TestBatchedTrials:
         # horizon, each run as three batches, the last of one trial
         sc, designs = example1
         cfg = trial_config(sc, horizon=horizon, seed=12, **_LOOP_CASES[case])
-        step = _trial_bytes(cfg, n=2, m=4)[1]
+        step = _trial_bytes(cfg, designs.graph, n=2)[1]
         single = simulator.run_trial
         traces = []
         for chunk in (2, 3, horizon + 1):
             monkeypatch.setattr(simulator, "_BATCH_BYTES", 64 * step * chunk)
-            size, got = simulator._batch_plan(sc.model, cfg, cfg.variant)
+            size, got = simulator._batch_plan(sc.model, designs.graph, cfg, cfg.variant)
             assert got == min(chunk, horizon + 1)
             calls = []
 
@@ -388,14 +419,28 @@ class TestBatchedTrials:
                             rtol=1e-12)
 
 
-def _trial_bytes(cfg, n, m):
+    def test_batch_plan_sizes(self, example1, example2_design):
+        # static links count no flag bytes; example1 under drops stores one
+        # byte per step, round and edge (1.2 KB a trial for 4 edges)
+        for (sc, designs), size, chunk in ((example1, 74, 101), (example2_design, 6, 4)):
+            cfg = sc.trial_config()
+            variant = distkf.resolve_variant(cfg.variant, sc.model.n, sc.model.m)
+            assert simulator._batch_plan(sc.model, designs.graph, cfg, variant) == (size, chunk)
+        sc, designs = example1
+        cfg = trial_config(sc, variant="alg1", rounds_per_sample=3,
+                           strategy=distkf.bernoulli_drop_strategy(0.2))
+        size, chunk = simulator._batch_plan(sc.model, designs.graph, cfg, "alg1")
+        assert size >= 60 and chunk == 101
+
+
+def _trial_bytes(cfg, graph, n):
     """A trial's fixed working set and the bytes of one buffered step, as
-    ``simulator._BATCH_BYTES`` counts them."""
-    T = cfg.horizon
+    ``simulator._BATCH_BYTES`` counts them: one byte per link flag."""
+    T, m = cfg.horizon, graph.m
     r = m if cfg.variant == "alg1" else n
     fixed = 8 * (2 * m * (r + 1) * n + T * n + (T + 1) * 2 * (n + m))
     if not isinstance(cfg.strategy, distkf.StaticStrategy):
-        fixed += 8 * T * cfg.rounds_per_sample * m * m
+        fixed += T * cfg.rounds_per_sample * edges(graph.adjacency)[0].size
     return fixed, 16 * m * n
 
 
