@@ -39,16 +39,15 @@ update per off-diagonal entry (conjugate-pair 2x2 blocks, Jordan links);
 ``state Gamma`` reads only the rows up to Gamma's last nonzero; and
 variant 1's z_i 1 is folded into the coupling term of the own block
 (variant 2 adds inject z, a product over the whole state, each step).
-Each step's node estimates go into a buffer of ``chunk`` steps.
+Each step's node estimates go into a buffer of ``chunk`` steps, or of
+the whole horizon without ``chunk``; whenever it fills, the kernel sums
+their squared errors against x and deviations from xhat over the trials.
 
 Inputs carry the trial axis first: w (B, T, n), v0 (B, m), v (B, T, m),
-x0 (B, n).  Without ``chunk`` the buffer covers the whole horizon and the
-kernel returns x (B, T+1, n), y (B, T+1, m), xhat (B, T+1, n), xbreve
-(B, T+1, m, n), the final local states xi (B, m, n) and the final
-consensus state (B, m, r, n).  With ``chunk`` it keeps only that many
-steps of node estimates: whenever the buffer fills, it sums the squared
-errors against x and the squared deviations from xhat over the trial
-axis, and it returns those two (T+1, m, n) sums.
+x0 (B, n).  The kernel returns x (B, T+1, n), y (B, T+1, m), xhat
+(B, T+1, n), the buffer's last node estimates xbreve (B, steps, m, n),
+the final local and consensus states xi (B, m, n) and (B, m, r, n), and
+the two sums (T+1, m, n).
 """
 
 from __future__ import annotations
@@ -96,10 +95,9 @@ def _simulate(A, C, Acl, K, S, beta, inject, read, own, Gamma, adj, flags, w, v0
         lap = (D * (weights * flags[0, 0])[:, None, :]) @ D.T
     steps = T + 1 if chunk is None else min(chunk, T + 1)
     buf = np.zeros((steps, n, B, m))
-    if chunk is not None:
-        sq_err, sq_dev = np.empty((T + 1, n, m)), np.empty((T + 1, n, m))
-        x_t = x.transpose(1, 2, 0)[..., None]
-        xhat_t = xhat.transpose(1, 2, 0)[..., None]
+    sq_err, sq_dev = np.empty((T + 1, n, m)), np.empty((T + 1, n, m))
+    x_t = x.transpose(1, 2, 0)[..., None]
+    xhat_t = xhat.transpose(1, 2, 0)[..., None]
     t0 = 0  # the step held in buf[0]
     for k in range(1, T + 1):
         z = y[:, k] - (beta @ xi.reshape(n, -1)).reshape(B, m)
@@ -127,11 +125,9 @@ def _simulate(A, C, Acl, K, S, beta, inject, read, own, Gamma, adj, flags, w, v0
         if own is not None:
             own_gap = (xi - m * own_blocks).transpose(2, 0, 1)
             out += np.matmul(own, own_gap).transpose(1, 2, 0)
-    if chunk is None:
-        return (x, y, xhat, buf.transpose(2, 0, 3, 1), xi.transpose(1, 2, 0),
-                cur[0].transpose(2, 3, 1, 0))
     _reduce(buf, x_t, xhat_t, t0, sq_err, sq_dev)
-    return sq_err.transpose(0, 2, 1), sq_dev.transpose(0, 2, 1)
+    return (x, y, xhat, buf[: T + 1 - t0].transpose(2, 0, 3, 1), xi.transpose(1, 2, 0),
+            cur[0].transpose(2, 3, 1, 0), sq_err.transpose(0, 2, 1), sq_dev.transpose(0, 2, 1))
 
 
 def _apply_S(src, d, off, dst):

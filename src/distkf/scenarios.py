@@ -68,6 +68,10 @@ class Scenario:
         if self.horizon < 1:
             raise ConfigError(f"horizon must be at least 1, got {self.horizon}")
         check_trial(self.model, self.trial_config())
+        lo, hi = self.steady_window
+        if not 0 <= lo < hi <= self.horizon + 1:
+            raise ConfigError(f"steady_window ({lo}, {hi}) must satisfy "
+                              f"0 <= lo < hi <= horizon + 1 = {self.horizon + 1}")
 
     def trial_config(self) -> TrialConfig:
         """One trial's options; links drop only when drop_prob is nonzero."""
@@ -111,6 +115,14 @@ def _graph_from_config(cfg: dict) -> SensorGraph:
     raise ConfigError(f"unknown graph kind {kind!r}")
 
 
+def _whole(sim: dict, key: str, default: int) -> int:
+    """``sim[key]`` as an int; a number with a fractional part is refused."""
+    value = sim.get(key, default)
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"sim.{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def parse_scenario(cfg: dict, name: str = "custom") -> Scenario:
     try:
         system = cfg["system"]
@@ -132,7 +144,7 @@ def parse_scenario(cfg: dict, name: str = "custom") -> Scenario:
         if x0cov is not None:
             x0cov = _matrix(x0cov, "sim.initial_state_cov")
         zeta, poles = design.get("zeta"), design.get("stable_poles")
-        horizon = int(sim.get("horizon", 100))
+        horizon = _whole(sim, "horizon", 100)
         lo = max(1, horizon // 2)
         return Scenario(
             name=name,
@@ -143,9 +155,9 @@ def parse_scenario(cfg: dict, name: str = "custom") -> Scenario:
             variant=str(design.get("variant", "auto")),
             replace_own=design.get("replace_own", False),
             horizon=horizon,
-            trials=int(sim.get("trials", 100)),
-            seed=int(sim.get("seed", 0)),
-            rounds_per_sample=int(sim.get("rounds_per_sample", 1)),
+            trials=_whole(sim, "trials", 100),
+            seed=_whole(sim, "seed", 0),
+            rounds_per_sample=_whole(sim, "rounds_per_sample", 1),
             drop_prob=float(sim.get("drop_prob", 0.0)),
             initial_state_cov=x0cov,
             steady_window=(lo, horizon + 1),

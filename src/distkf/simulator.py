@@ -14,17 +14,14 @@ Checks: ``TrialConfig`` checks the trial options that need no plant,
 ``check_trial`` the rest, for library callers and CLI scenarios alike;
 a bad option raises ``ConfigError`` before anything is drawn.
 
-Batching: ``run_trial(..., seeds=...)`` runs several trials through the
-kernel at once, along a leading trial axis, and ``run_monte_carlo`` runs
-its trials in such batches.  Each trial still draws from its own streams,
-with the same draws in the same order as when it runs alone, so batching
-changes a trial's result only by roundoff.  Monte Carlo never keeps a
-batch's node estimates: ``run_trial(..., chunk=c)`` has the kernel sum
-the squared errors and deviations c steps at a time and returns the
-batch's ``MonteCarloResult``.  ``_BATCH_BYTES`` sets both sizes from one
-budget on a trial's working set in the kernel, so it bounds the memory
-Monte Carlo adds, while the per-step cost of the Python loop is shared by
-the whole batch.
+Batching: ``run_monte_carlo`` runs its trials in batches, one call of
+``run_trial(..., seeds=...)`` and of the kernel each, with the batch's
+trials side by side.  Each trial draws from its own streams exactly what
+it draws alone, so batching changes its result only by roundoff.  The
+kernel keeps no batch's node estimates but sums their squares a chunk of
+steps at a time.  ``_BATCH_BYTES`` sizes batch and chunk from one budget
+on a trial's working set in the kernel: it bounds the memory Monte Carlo
+adds, while the batch shares the per-step cost of the Python loop.
 """
 
 from __future__ import annotations
@@ -42,6 +39,7 @@ from .numerics import spectral_radius
 from .plant import SensorGraph, SplitModel, SystemModel, is_psd
 
 _MAX_GROWTH = 1e12  # largest rho(A)^horizon a simulation may reach
+_MAX_TRACE_BYTES = 2**28  # largest (T+1, m, n) float array of node estimates
 
 
 def resolve_variant(variant: str, n: int, m: int) -> str:
@@ -91,17 +89,18 @@ class TrialConfig:
     def __post_init__(self):
         # runs on every construction, dataclasses.replace included
         _check_seed(self.seed)
-        if self.horizon < 0:
-            raise ConfigError(f"horizon must be non-negative, got {self.horizon}")
-        if self.rounds_per_sample < 1:
-            raise ConfigError(f"rounds_per_sample must be at least 1, got {self.rounds_per_sample}")
+        for name, low in (("horizon", 0), ("rounds_per_sample", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
         if not isinstance(self.replace_own, (bool, np.bool_)):
             raise ConfigError(f"replace_own must be true or false, got {self.replace_own!r}")
 
 
 def check_trial(model: SystemModel, config: TrialConfig) -> str:
-    """Check the variant, initial_state_cov, replace_own and the plant's
-    growth over the horizon; returns the resolved variant."""
+    """Check the variant, initial_state_cov, replace_own, the plant's
+    growth over the horizon and the size of a trace's node estimates;
+    returns the resolved variant."""
     n, m = model.n, model.m
     variant = resolve_variant(config.variant, n, m)
     if config.initial_state_cov is not None:
@@ -115,18 +114,21 @@ def check_trial(model: SystemModel, config: TrialConfig) -> str:
         raise ConfigError("replace_own applies to variant alg1 only (auto picks alg2 when n < m)")
     # the simulator works in absolute coordinates, so x_hat - x loses
     # digits as the state grows like rho(A)^k
-    rho, T = spectral_radius(model.A), config.horizon
+    rho, T = spectral_radius(model.A), int(config.horizon)
     if rho > 1.0 and T * np.log(rho) > np.log(_MAX_GROWTH):
         limit = int(np.log(_MAX_GROWTH) / np.log(rho))
         raise ConfigError(f"horizon {T} grows the plant by rho(A)^horizon = {rho:.6g}"
                           f"^{T} > {_MAX_GROWTH:.0e}; the limit is {limit} steps")
+    if 8 * (T + 1) * m * n > _MAX_TRACE_BYTES:
+        limit = _MAX_TRACE_BYTES // (8 * m * n) - 1
+        raise ConfigError(f"horizon {T} needs more than {_MAX_TRACE_BYTES} bytes for a trace's "
+                          f"node estimates; the limit is {limit} steps")
     return variant
 
 
 @dataclass(frozen=True, eq=False)
 class SimulationTrace:
-    """One trial's arrays; a batch of trials adds a leading trial axis to
-    each, and ``seed`` is then the list of the trials' seeds."""
+    """One trial's arrays."""
 
     x: np.ndarray        # (T+1, n) truth
     y: np.ndarray        # (T+1, m) measurements
@@ -138,15 +140,13 @@ class SimulationTrace:
 
     @property
     def errors(self) -> np.ndarray:
-        """Per-node estimation errors xbreve_i(k) - x(k), (T+1, m, n)
-        (with the trial axis first for a batch)."""
-        return self.xbreve - self.x[..., None, :]
+        """Per-node estimation errors xbreve_i(k) - x(k), (T+1, m, n)."""
+        return self.xbreve - self.x[:, None, :]
 
     @property
     def deviations(self) -> np.ndarray:
-        """Per-node deviations from the centralized estimate, (T+1, m, n)
-        (with the trial axis first for a batch)."""
-        return self.xbreve - self.xhat[..., None, :]
+        """Per-node deviations from the centralized estimate, (T+1, m, n)."""
+        return self.xbreve - self.xhat[:, None, :]
 
 
 def _rng(ss: np.random.SeedSequence) -> np.random.Generator:
@@ -154,22 +154,19 @@ def _rng(ss: np.random.SeedSequence) -> np.random.Generator:
 
 
 def run_trial(
-    model: SystemModel, designs: DesignSet, config: TrialConfig, *, seeds=None, chunk=None
+    model: SystemModel, designs: DesignSet, config: TrialConfig, *, seeds=None
 ) -> SimulationTrace | MonteCarloResult:
-    """Simulate one seeded trial; returns the full trace.
+    """Simulate one seeded trial; returns its trace.
 
     Node and filter states start at zero.  x(0) is zero unless
     ``initial_state_cov`` is given, in which case it is sampled first.
 
     With ``seeds`` (a sequence of seeds, ``config.seed`` unused) the
-    trials run as one batch: every array of the returned trace gains a
-    leading trial axis, and slice t equals the trial run alone with
-    ``seeds[t]`` up to roundoff.  Each trial draws its noise and link
-    flags from its own streams, in the same order as a single trial.
-
-    With ``chunk`` (steps of node estimates the kernel buffers) no trace
-    is kept: the result is the ``MonteCarloResult`` of the batch, the
-    mean squared errors and deviations over its trials.
+    trials run as one batch and the result is its ``MonteCarloResult``,
+    the mean squared errors and deviations over its trials; the kernel
+    sums them in chunks of steps sized by ``_BATCH_BYTES``.  Each trial
+    draws its noise and link flags from its own streams, in the same
+    order as a single trial.
     """
     n, m, T = model.n, model.m, int(config.horizon)
     variant = check_trial(model, config)
@@ -205,23 +202,19 @@ def run_trial(
     plant = (model.A, model.C, kd.Acl, kd.K, bundle.S, bundle.beta)
     drive = (designs.consensus.Gamma, designs.graph.adjacency, np.stack(flags), w, v[:, 0],
              v[:, 1:], x0)
+    chunk = None if seeds is None else _batch_plan(model, designs.graph, config, variant)[1]
     if variant == "alg1":
         out = _kernels.sim_alg1(*plant, bundle.F, *drive, config.replace_own, chunk)
     else:
         Tb = np.stack([designs.reduced.T_blocks(i) for i in range(m)])
         out = _kernels.sim_alg2(*plant, Tb, *drive, chunk)
-    if chunk is not None:
-        sq_err, sq_dev = out
-        sq_err /= len(batch)
-        sq_dev /= len(batch)
-        return MonteCarloResult(mse=sq_err, dev_sq=sq_dev, trials=len(batch), variant=variant)
-    x, y, xhat, xbreve = out[:4]
     if seeds is None:
-        x, y, xhat, xbreve = x[0], y[0], xhat[0], xbreve[0]
-    return SimulationTrace(
-        x=x, y=y, xhat=xhat, xbreve=xbreve, variant=variant, horizon=T,
-        seed=config.seed if seeds is None else batch,
-    )
+        return SimulationTrace(*(a[0] for a in out[:4]), variant=variant, horizon=T,
+                               seed=config.seed)
+    sq_err, sq_dev = out[6:]
+    sq_err /= len(batch)
+    sq_dev /= len(batch)
+    return MonteCarloResult(mse=sq_err, dev_sq=sq_dev, trials=len(batch), variant=variant)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +250,7 @@ _BATCH_BYTES = 7 * 256 * 1024
 
 def _batch_plan(model: SystemModel, graph: SensorGraph, config: TrialConfig, variant: str):
     """Trials per batch and steps per chunk under ``_BATCH_BYTES``."""
-    T, m, n = int(config.horizon), model.m, model.n
+    T, m, n = config.horizon, model.m, model.n
     r = message_dimension(variant, n, m)
     fixed = 8 * (2 * m * (r + 1) * n + T * n + (T + 1) * 2 * (n + m))
     if not isinstance(config.strategy, StaticStrategy):
@@ -283,13 +276,11 @@ def run_monte_carlo(
     seed = config.seed
     base = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     variant = check_trial(model, config)
-    T, m = int(config.horizon), model.m
-    size, chunk = _batch_plan(model, designs.graph, config, variant)
-    mse = np.zeros((T + 1, m, model.n))
-    dev_sq = np.zeros((T + 1, m, model.n))
+    size = _batch_plan(model, designs.graph, config, variant)[0]
+    mse, dev_sq = np.zeros((2, config.horizon + 1, model.m, model.n))
     for start in range(0, trials, size):
         seeds = [base + (t,) for t in range(start, min(start + size, trials))]
-        part = run_trial(model, designs, config, seeds=seeds, chunk=chunk)
+        part = run_trial(model, designs, config, seeds=seeds)
         mse += part.trials * part.mse
         dev_sq += part.trials * part.dev_sq
         del part  # free this batch's means before the next batch runs

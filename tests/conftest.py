@@ -222,13 +222,19 @@ def loop_args(args):
     return args[:8] + (dense_weights(adjacency, flags, w.shape[0]),) + args[10:]
 
 
-def kernel_run(model, designs, cfg):
-    """The kernel's outputs for the trial ``cfg`` describes, run as a
-    batch of one and returned without the trial axis."""
-    args = kernel_args(model, designs, cfg)
-    batch = args[:9] + tuple(a[None] for a in args[9:])
+def kernel_batch(model, designs, cfgs):
+    """The kernel's outputs for the trials ``cfgs`` describe (one model,
+    design and variant), stacked along the trial axis as one batch."""
+    args = [kernel_args(model, designs, cfg) for cfg in cfgs]
+    batch = args[0][:9] + tuple(np.stack(a) for a in zip(*(a[9:] for a in args)))
+    cfg = cfgs[0]
     if distkf.resolve_variant(cfg.variant, model.n, model.m) == "alg1":
-        out = _kernels.sim_alg1(*batch, cfg.replace_own)
-    else:
-        out = _kernels.sim_alg2(*batch)
-    return tuple(a[0] for a in out)
+        return _kernels.sim_alg1(*batch, cfg.replace_own)
+    return _kernels.sim_alg2(*batch)
+
+
+def kernel_run(model, designs, cfg):
+    """The kernel's six per-trial outputs (x, y, xhat, xbreve, xi and the
+    consensus state) for the trial ``cfg`` describes, run as a batch of
+    one and returned without the trial axis."""
+    return tuple(a[0] for a in kernel_batch(model, designs, [cfg])[:6])

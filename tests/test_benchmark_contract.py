@@ -84,15 +84,40 @@ def test_every_child_name_resolves():
     assert not missing, missing
 
 
-@pytest.mark.parametrize("name", ["TrialConfig", "design_pipeline", "build_augmented"])
+def _child_calls():
+    """(dotted name, positional arguments, keyword names) of every call of a
+    distkf function in child.py, made directly or through
+    ``_timed(rec, name, distkf.<fn>, *args, **kwargs)``."""
+    calls = []
+    for node in ast.walk(_child_tree()):
+        if not isinstance(node, ast.Call):
+            continue
+        path, args = _distkf_path(node.func), node.args
+        if path is None and isinstance(node.func, ast.Name) and node.func.id == "_timed":
+            path, args = _distkf_path(args[2]) if len(args) > 2 else None, args[3:]
+        if path is not None:
+            calls.append((".".join(path), args, [kw.arg for kw in node.keywords]))
+    return calls
+
+
+_CHILD_CALLS = _child_calls()
+
+
+@pytest.mark.parametrize("name", sorted({"TrialConfig", "design_pipeline", "build_augmented"}
+                                        | {name for name, _, _ in _CHILD_CALLS}))
 def test_child_call_arguments_bind(name):
-    calls = [node for node in ast.walk(_child_tree())
-             if isinstance(node, ast.Call) and _distkf_path(node.func) == (name,)]
+    calls = [(args, keywords) for called, args, keywords in _CHILD_CALLS if called == name]
     assert calls, f"child.py no longer calls distkf.{name}"
-    signature = inspect.signature(getattr(distkf, name))
-    for call in calls:
-        signature.bind_partial(*[None] * len(call.args),
-                               **{kw.arg: None for kw in call.keywords if kw.arg})
+    owner = distkf
+    for part in name.split("."):
+        owner = getattr(owner, part)
+    signature = inspect.signature(owner)
+    for args, keywords in calls:
+        # a call with *args or **kwargs binds only what it names
+        unpacked = any(isinstance(a, ast.Starred) for a in args) or None in keywords
+        bind = signature.bind_partial if unpacked else signature.bind
+        bind(*[None] * sum(not isinstance(a, ast.Starred) for a in args),
+             **{kw: None for kw in keywords if kw})
 
 
 def _child_reads(name):

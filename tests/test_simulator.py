@@ -1,3 +1,4 @@
+import inspect
 import warnings
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from conftest import (
     edges,
     heat_grid,
     kernel_args,
+    kernel_batch,
     kernel_run,
     loop_args,
     matrix_with_spectrum,
@@ -53,9 +55,10 @@ class TestPlantNoise:
         sc, designs = example1
         Q = np.array([[0.5, 0.2], [0.2, 0.4]])
         model = replace(sc.model, Q=Q)
-        tr = distkf.run_trial(model, designs, trial_config(sc, horizon=100),
-                              seeds=[(3, t) for t in range(1000)])
-        ws = (tr.x[:, 1:] - tr.x[:, :-1] @ model.A.T).reshape(-1, 2)
+        cfg = trial_config(sc, horizon=100)
+        xs = np.stack([distkf.run_trial(model, designs, replace(cfg, seed=(3, t))).x
+                       for t in range(1000)])
+        ws = (xs[:, 1:] - xs[:, :-1] @ model.A.T).reshape(-1, 2)
         N = len(ws)
         emp = ws.T @ ws / N
         for a in range(2):
@@ -103,6 +106,22 @@ class TestRunTrial:
                     scale = 1.0 + np.abs(tr.xhat)
                     assert np.max(gap / scale) <= 1e-8
 
+    @pytest.mark.parametrize("overrides", [
+        dict(variant="alg2"),
+        dict(variant="alg1", strategy=distkf.bernoulli_drop_strategy(0.3), rounds_per_sample=2),
+    ], ids=["alg2-x0", "alg1-drop-2"])
+    def test_draws_follow_the_documented_streams(self, example1, overrides):
+        # trial seed s draws x(0) (under initial_state_cov), w and v from
+        # child 0 of SeedSequence(s).spawn(2), and the link flags from
+        # child 1, which kernel_run restates
+        sc, designs = example1
+        cfg = trial_config(sc, horizon=30, seed=(17, 4), **overrides)
+        assert cfg.initial_state_cov is not None
+        tr = distkf.run_trial(sc.model, designs, cfg)
+        for name, want in zip(("x", "y", "xhat", "xbreve"), kernel_run(sc.model, designs, cfg)):
+            assert_allclose(getattr(tr, name), want, rtol=1e-12,
+                            atol=1e-12 * np.max(np.abs(want)))
+
     def test_alg2_requires_reduced(self, example1):
         sc, designs = example1
         bare = distkf.DesignSet(
@@ -146,8 +165,17 @@ class TestBadLibraryInputs:
         (_run_alg1(initial_state_cov=np.diag([-1.0, 1.0])), "semidefinite"),
         (_run_alg1(seeds=[(1, 2), -1]), "seed"),
         (_run_alg1(seeds=[(1, 2.5)]), "seed"),
+        (_run_alg1(horizon=40.9), "horizon must be an integer"),
+        (_run_alg1(rounds_per_sample=1.9), "rounds_per_sample must be an integer"),
+        # a stable plant, so only the memory bound stops a horizon whose
+        # trace would need 64 PB
+        (lambda sc, designs: distkf.run_monte_carlo(
+            replace(sc.model, A=np.diag([0.9, 0.5])), designs,
+            trial_config(sc, variant="alg1", horizon=10**15), 20),
+         "the limit is 4194303 steps"),
     ], ids=["horizon-growth", "drop-one", "seed-negative", "replace-own-text",
-            "x0-cov-indefinite", "batch-seed-negative", "batch-seed-float"])
+            "x0-cov-indefinite", "batch-seed-negative", "batch-seed-float", "horizon-float",
+            "rounds-float", "horizon-memory"])
     def test_rejected(self, example1, monkeypatch, call, needle):
         sc, designs = example1
 
@@ -161,6 +189,18 @@ class TestBadLibraryInputs:
                 call(sc, designs)
         message = str(exc.value)
         assert needle in message and "\n" not in message
+
+    @pytest.mark.parametrize("changes", [
+        dict(horizon=30), dict(steady_window=(60, 50)), dict(steady_window=(-1, 50)),
+        dict(steady_window=(50, 102)),
+    ], ids=["horizon-below-window", "window-reversed", "window-negative", "window-past-horizon"])
+    def test_steady_window_inside_horizon(self, changes):
+        # a window past the horizon once averaged an empty slice into NaN
+        sc = distkf.builtin_scenario("example1", trials=2)
+        with pytest.raises(ConfigError) as exc:
+            replace(sc, **changes)
+        message = str(exc.value)
+        assert "steady_window" in message and "\n" not in message
 
 
 _LOOP_CASES = {
@@ -238,16 +278,10 @@ class TestKernelAgainstLoopReference:
         cfgs = [distkf.TrialConfig(horizon=25, seed=(3, t), variant=variant,
                                    replace_own=replace_own, rounds_per_sample=2,
                                    initial_state_cov=np.eye(3)) for t in range(3)]
-        args = [kernel_args(model, designs, cfg) for cfg in cfgs]
-        if variant == "alg1":
-            kernel, loops, flag = _kernels.sim_alg1, sim_alg1_loops, (True,)
-        else:
-            kernel, loops, flag = _kernels.sim_alg2, sim_alg2_loops, ()
-        wants = [loops(*loop_args(a), replace_own, 2) for a in args]
-        # the model, design matrices and adjacency are shared; noise and
-        # link flags stack
-        batched = kernel(*args[0][:9], *(np.stack(z) for z in zip(*(a[9:] for a in args))),
-                         *flag)
+        loops = sim_alg1_loops if variant == "alg1" else sim_alg2_loops
+        wants = [loops(*loop_args(kernel_args(model, designs, cfg)), replace_own, 2)
+                 for cfg in cfgs]
+        batched = kernel_batch(model, designs, cfgs)
         for t, (cfg, want) in enumerate(zip(cfgs, wants)):
             for one, many, ref in zip(kernel_run(model, designs, cfg), batched, want):
                 tol = dict(rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
@@ -345,18 +379,14 @@ class TestBatchedTrials:
     @pytest.mark.parametrize("case", list(_LOOP_CASES), ids=list(_LOOP_CASES))
     def test_slices_match_single_trials(self, example1, case):
         sc, designs = example1
-        cfg = trial_config(sc, horizon=30, **_LOOP_CASES[case])
-        seeds = [(41, t) for t in range(5)]
-        batch = distkf.run_trial(sc.model, designs, cfg, seeds=seeds)
-        assert batch.xbreve.shape == (5, 31, 4, 2)
-        assert batch.seed == seeds
-        for t, seed in enumerate(seeds):
-            one = distkf.run_trial(sc.model, designs, replace(cfg, seed=seed))
-            for name in ("x", "y", "xhat", "xbreve", "errors"):
-                want = getattr(one, name)
+        cfgs = [trial_config(sc, horizon=30, seed=(41, t), **_LOOP_CASES[case])
+                for t in range(5)]
+        batch = kernel_batch(sc.model, designs, cfgs)
+        assert batch[3].shape == (5, 31, 4, 2)
+        for t, cfg in enumerate(cfgs):
+            for many, want in zip(batch, kernel_run(sc.model, designs, cfg)):
                 # entries near zero carry the roundoff of the array's scale
-                assert_allclose(getattr(batch, name)[t], want, rtol=1e-12,
-                                atol=1e-12 * np.max(np.abs(want)))
+                assert_allclose(many[t], want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("case", list(_LOOP_CASES), ids=list(_LOOP_CASES))
     def test_batched_monte_carlo_matches_trial_mean(self, example1, monkeypatch, case):
@@ -394,23 +424,27 @@ class TestBatchedTrials:
         sc, designs = example1
         cfg = trial_config(sc, horizon=horizon, seed=12, **_LOOP_CASES[case])
         step = _trial_bytes(cfg, designs.graph, n=2)[1]
-        single = simulator.run_trial
+        calls = []
+
+        def counted(kernel):
+            def wrapper(*args, **kwargs):
+                bound = inspect.signature(kernel).bind(*args, **kwargs).arguments
+                calls.append((len(bound["w"]), bound["chunk"]))
+                return kernel(*args, **kwargs)
+            return wrapper
+
+        for name in ("sim_alg1", "sim_alg2"):
+            monkeypatch.setattr(_kernels, name, counted(getattr(_kernels, name)))
         traces = []
         for chunk in (2, 3, horizon + 1):
             monkeypatch.setattr(simulator, "_BATCH_BYTES", 64 * step * chunk)
             size, got = simulator._batch_plan(sc.model, designs.graph, cfg, cfg.variant)
             assert got == min(chunk, horizon + 1)
-            calls = []
-
-            def counted(*args, **kwargs):
-                calls.append((len(kwargs["seeds"]), kwargs["chunk"]))
-                return single(*args, **kwargs)
-
-            monkeypatch.setattr(simulator, "run_trial", counted)
             trials = 2 * size + 1
+            calls.clear()
             res = distkf.run_monte_carlo(sc.model, designs, cfg, trials)
             assert calls == [(size, got), (size, got), (1, got)]
-            traces += [single(sc.model, designs, replace(cfg, seed=(12, t)))
+            traces += [distkf.run_trial(sc.model, designs, replace(cfg, seed=(12, t)))
                        for t in range(len(traces), trials)]
             assert_allclose(res.mse, np.mean([tr.errors**2 for tr in traces[:trials]], axis=0),
                             rtol=1e-12)
