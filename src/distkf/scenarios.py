@@ -64,9 +64,10 @@ class Scenario:
 
     def __post_init__(self):
         # runs on every construction, dataclasses.replace included; the
-        # steady window needs at least one step
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be at least 1, got {self.horizon}")
+        # steady window needs at least one step, Monte Carlo one trial
+        for name in ("horizon", "trials"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         check_trial(self.model, self.trial_config())
         lo, hi = self.steady_window
         if not 0 <= lo < hi <= self.horizon + 1:

@@ -5,10 +5,10 @@ step-k broadcasts, then the whole network advances to k+1.  The
 centralized Kalman filter is co-simulated on the same noise realization
 so traces carry the optimal estimate alongside the per-node ones.
 
-Reproducibility: every trial owns counter-based RNG streams derived from
-``SeedSequence`` entropy, with separate children for plant noise and for
-link failures.  Monte-Carlo trial t of master seed s uses entropy
-``(s, t)``, so any trial can be replayed in isolation.
+Reproducibility: every trial owns counter-based RNG streams, children 0
+(plant noise) and 1 (link failures, built only for strategies that draw)
+of ``SeedSequence`` entropy.  Monte-Carlo trial t of master seed s uses
+entropy ``(s, t)``, so any trial can be replayed in isolation.
 
 Checks: ``TrialConfig`` checks the trial options that need no plant,
 ``check_trial`` the rest, for library callers and CLI scenarios alike;
@@ -18,10 +18,10 @@ Batching: ``run_monte_carlo`` runs its trials in batches, one call of
 ``run_trial(..., seeds=...)`` and of the kernel each, with the batch's
 trials side by side.  Each trial draws from its own streams exactly what
 it draws alone, so batching changes its result only by roundoff.  The
-kernel keeps no batch's node estimates but sums their squares a chunk of
-steps at a time.  ``_BATCH_BYTES`` sizes batch and chunk from one budget
-on a trial's working set in the kernel: it bounds the memory Monte Carlo
-adds, while the batch shares the per-step cost of the Python loop.
+kernel sums a batch's squared errors a block of steps at a time.
+``_BATCH_BYTES`` sizes batch and block from one budget on a trial's
+working set in the kernel: it bounds the memory Monte Carlo adds, while
+the batch shares the per-step cost of the Python loop.
 """
 
 from __future__ import annotations
@@ -149,8 +149,9 @@ class SimulationTrace:
         return self.xbreve - self.xhat[:, None, :]
 
 
-def _rng(ss: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(ss))
+def _rng(seed, child: int) -> np.random.Generator:
+    """Child ``child`` of ``SeedSequence(seed).spawn``, which has key (child,)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(child,))))
 
 
 def run_trial(
@@ -164,7 +165,7 @@ def run_trial(
     With ``seeds`` (a sequence of seeds, ``config.seed`` unused) the
     trials run as one batch and the result is its ``MonteCarloResult``,
     the mean squared errors and deviations over its trials; the kernel
-    sums them in chunks of steps sized by ``_BATCH_BYTES``.  Each trial
+    sums them in blocks of steps sized by ``_BATCH_BYTES``.  Each trial
     draws its noise and link flags from its own streams, in the same
     order as a single trial.
     """
@@ -187,14 +188,14 @@ def run_trial(
     v = np.empty((len(batch), T + 1, m))
     flags = []
     for b, seed in enumerate(batch):
-        noise_ss, link_ss = np.random.SeedSequence(seed).spawn(2)
-        noise_rng = _rng(noise_ss)
+        noise_rng = _rng(seed, 0)
         if L0 is not None:
             x0[b] = L0 @ noise_rng.standard_normal(n)
         noise_rng.standard_normal(out=w[b])
         noise_rng.standard_normal(out=v[b])
+        link_rng = None if isinstance(config.strategy, StaticStrategy) else _rng(seed, 1)
         flags.append(config.strategy.sample_gains(designs.graph.adjacency, T,
-                                                  config.rounds_per_sample, _rng(link_ss)))
+                                                  config.rounds_per_sample, link_rng))
     w = w @ Lq.T
     v = v @ Lr.T
 
@@ -204,7 +205,7 @@ def run_trial(
              v[:, 1:], x0)
     chunk = None if seeds is None else _batch_plan(model, designs.graph, config, variant)[1]
     if variant == "alg1":
-        out = _kernels.sim_alg1(*plant, bundle.F, *drive, config.replace_own, chunk)
+        out = _kernels.sim_alg1(*plant, *drive, config.replace_own, chunk)
     else:
         Tb = np.stack([designs.reduced.T_blocks(i) for i in range(m)])
         out = _kernels.sim_alg2(*plant, Tb, *drive, chunk)
@@ -235,28 +236,27 @@ class MonteCarloResult:
 
 
 # Byte budget of one Monte-Carlo batch, counted on each trial's working
-# set in the kernel: the two buffers of its local filters and consensus
-# state, its noise and plant arrays (w, v, x, y, xhat), its link flags
-# when they change per step (a byte per step, round and edge), and its
-# share of the chunk, 16 m n bytes per buffered step (the node estimates
-# and their difference from x or xhat).
-# A chunk holds as many steps as fit in 1/64 of the budget for one trial,
-# at most the whole horizon; a batch then holds as many trials as fit.
-# On a 2-core Xeon with 2 MB of L2 per core, heat (example2) ran fastest
-# at 6 or 7 trials a batch, which 1.75 MiB gives it (chunks of 4 steps);
-# example1 gets 74 trials a batch over its whole horizon.
+# set in the kernel: w, v, [x; xhat], y, the local filters, three copies
+# of the consensus state at most (two buffers of the stepped coordinates,
+# the full state, the stable filter's update), the link flags when they
+# change per step (a byte per step, round and edge), and per block step a
+# block buffer slot (n + 2 r) m, y and z (2 m), and the larger of the
+# reduction's x or xhat (n m) and the stable filter's products (2 r m).
+# A block holds at most _kernels._BLOCK steps, no more than fit in 1/16 of
+# the budget for one trial; a batch, as many trials as fit: 4 trials in
+# blocks of 10 steps for heat (example2), 102 in blocks of 16 for example1.
 _BATCH_BYTES = 7 * 256 * 1024
 
 
 def _batch_plan(model: SystemModel, graph: SensorGraph, config: TrialConfig, variant: str):
-    """Trials per batch and steps per chunk under ``_BATCH_BYTES``."""
+    """Trials per batch and steps per block under ``_BATCH_BYTES``."""
     T, m, n = config.horizon, model.m, model.n
     r = message_dimension(variant, n, m)
-    fixed = 8 * (2 * m * (r + 1) * n + T * n + (T + 1) * 2 * (n + m))
+    fixed = 8 * (T * n + (T + 1) * 2 * (n + m) + n * m + 3 * n * r * m)
     if not isinstance(config.strategy, StaticStrategy):
         fixed += T * config.rounds_per_sample * (np.count_nonzero(graph.adjacency) // 2)
-    step = 16 * m * n
-    chunk = min(T + 1, max(1, _BATCH_BYTES // (64 * step)))
+    step = 8 * m * (n + 2 * r + 2 + max(n, 2 * r))
+    chunk = max(1, min(T, _kernels._BLOCK, _BATCH_BYTES // (16 * step)))
     return max(1, _BATCH_BYTES // (fixed + chunk * step)), chunk
 
 
@@ -268,7 +268,7 @@ def run_monte_carlo(
     Trial t runs with seed entropy ``(master, t)``; trials are mutually
     independent and may be distributed across processes by partitioning
     the trial index range (aggregation is a plain mean).  Trials run in
-    batches, and the kernel sums their squares in chunks of steps, both
+    batches, and the kernel sums their squares in blocks of steps, both
     sized by ``_BATCH_BYTES``.
     """
     if trials < 1:

@@ -167,10 +167,9 @@ def trial_config(sc, **overrides):
     return distkf.TrialConfig(**base)
 
 
-def kernel_args(model, designs, cfg):
-    """Positional arguments of the variant's kernel for one trial,
-    without the trailing replace_own and without the trial axis: the
-    noise and link flags that ``run_trial`` draws for ``cfg``."""
+def trial_draws(model, designs, cfg):
+    """What ``run_trial`` draws for the trial ``cfg`` describes, in kernel
+    order and without the trial axis: the link flags, w, v(0), v and x(0)."""
     noise_ss, link_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     rng = np.random.Generator(np.random.Philox(noise_ss))
     x0 = np.zeros(model.n)
@@ -178,16 +177,47 @@ def kernel_args(model, designs, cfg):
         x0 = psd_factor(cfg.initial_state_cov) @ rng.standard_normal(model.n)
     w = rng.standard_normal((cfg.horizon, model.n)) @ psd_factor(model.Q).T
     v = rng.standard_normal((cfg.horizon + 1, model.m)) @ psd_factor(model.R).T
-    adjacency = designs.graph.adjacency
-    flags = cfg.strategy.sample_gains(adjacency, cfg.horizon, cfg.rounds_per_sample,
+    flags = cfg.strategy.sample_gains(designs.graph.adjacency, cfg.horizon, cfg.rounds_per_sample,
                                       np.random.Generator(np.random.Philox(link_ss)))
-    if distkf.resolve_variant(cfg.variant, model.n, model.m) == "alg1":
-        blocks = designs.bundle.F
-    else:
-        blocks = np.stack([designs.reduced.T_blocks(i) for i in range(model.m)])
-    kd = designs.kalman
-    return (model.A, model.C, kd.Acl, kd.K, designs.bundle.S, designs.bundle.beta, blocks,
-            designs.consensus.Gamma, adjacency, flags, w, v[0], v[1:], x0)
+    return flags, w, v[0], v[1:], x0
+
+
+def _T_blocks(designs):
+    return np.stack([designs.reduced.T_blocks(i) for i in range(designs.graph.m)])
+
+
+def kernel_args(model, designs, variant):
+    """The kernel's leading positional arguments, shared by every trial:
+    the plant, filter and local-filter matrices, variant 2's blocks T_i,
+    Gamma and the adjacency."""
+    kd, bundle = designs.kalman, designs.bundle
+    head = (model.A, model.C, kd.Acl, kd.K, bundle.S, bundle.beta)
+    if variant == "alg2":
+        head += (_T_blocks(designs),)
+    return head + (designs.consensus.Gamma, designs.graph.adjacency)
+
+
+def run_kernel(model, designs, variant, draws, replace_own=False, chunk=None):
+    """The kernel's outputs for the trials whose ``trial_draws`` are
+    ``draws``, stacked along the trial axis as one batch, in blocks of
+    ``chunk`` steps."""
+    args = kernel_args(model, designs, variant) + tuple(np.stack(a) for a in zip(*draws))
+    if variant == "alg1":
+        return _kernels.sim_alg1(*args, replace_own, chunk)
+    return _kernels.sim_alg2(*args, chunk)
+
+
+def loop_args(model, designs, variant, draws):
+    """The arguments of ``loop_kernels.sim_alg1_loops``/``sim_alg2_loops``
+    (before replace_own and rounds) for one trial's ``draws``: the blocks
+    F_i (variant 1) or T_i (variant 2), and the flags as dense link
+    weights."""
+    flags, w, v0, v, x0 = draws
+    kd, bundle = designs.kalman, designs.bundle
+    blocks = bundle.F if variant == "alg1" else _T_blocks(designs)
+    return (model.A, model.C, kd.Acl, kd.K, bundle.S, bundle.beta, blocks,
+            designs.consensus.Gamma, dense_weights(designs.graph.adjacency, flags, w.shape[0]),
+            w, v0, v, x0)
 
 
 def edges(adjacency):
@@ -214,23 +244,13 @@ def dense_weights(adjacency, flags, horizon):
     return np.broadcast_to(out, (horizon,) + out.shape[1:])
 
 
-def loop_args(args):
-    """The arguments of ``loop_kernels.sim_alg1_loops``/``sim_alg2_loops``
-    (before replace_own and rounds) for the kernel arguments ``args`` of
-    one trial: the adjacency and flags become dense link weights."""
-    adjacency, flags, w = args[8:11]
-    return args[:8] + (dense_weights(adjacency, flags, w.shape[0]),) + args[10:]
-
-
 def kernel_batch(model, designs, cfgs):
     """The kernel's outputs for the trials ``cfgs`` describe (one model,
     design and variant), stacked along the trial axis as one batch."""
-    args = [kernel_args(model, designs, cfg) for cfg in cfgs]
-    batch = args[0][:9] + tuple(np.stack(a) for a in zip(*(a[9:] for a in args)))
     cfg = cfgs[0]
-    if distkf.resolve_variant(cfg.variant, model.n, model.m) == "alg1":
-        return _kernels.sim_alg1(*batch, cfg.replace_own)
-    return _kernels.sim_alg2(*batch)
+    variant = distkf.resolve_variant(cfg.variant, model.n, model.m)
+    return run_kernel(model, designs, variant, [trial_draws(model, designs, c) for c in cfgs],
+                      cfg.replace_own)
 
 
 def kernel_run(model, designs, cfg):

@@ -3,7 +3,9 @@
 One explicit loop per index, written independently of the vectorized
 kernel in ``distkf._kernels``; they are the tests' reference for the
 network recursion in every configuration (link drops, several consensus
-rounds per sample, replace_own, block S).  Both take
+rounds per sample, replace_own, block S).  They step every coordinate
+and read variant 1's estimates directly as m sum_j F_j eta_ij, so they
+check the kernel's closed-loop recursion and stable-block filter.  Both take
 ``(A, C, Acl, K, S, beta, blocks, Gamma, gains, w, v0, v, x0, replace_own,
 rounds)`` with ``blocks`` the F_i (variant 1) or T_i (variant 2), and
 return what ``distkf._kernels.sim_alg1``/``sim_alg2`` return for a batch

@@ -259,12 +259,14 @@ class TestBadSimOptions:
         (dict(sim={"horizon": 10, "initial_state_cov": [[1, 5], [0, 1]]}), "semidefinite"),
         # example1's plant: 1.1^400 = 3.6e16 leaves no digits for x_hat - x
         (dict(sim={"horizon": 400}), "limit is 289 steps"),
+        # check once passed a scenario that simulate refused
+        (dict(sim={"horizon": 10, "trials": 0}), "trials must be at least 1"),
         # a stable plant: its trace of 10^15 steps would need 64 PB
         (dict(system={"A": [[0.9, 0.0], [0.0, 0.5]], "C": [[1, 0], [0, 1], [1, 1], [1, -1]],
                       "Q": [[0.25, 0], [0, 0.25]], "R": np.diag([4.0] * 4).tolist()},
               sim={"horizon": 10**15}), "limit is 4194303 steps"),
     ], ids=["replace-own-alg2", "replace-own-text", "x0-cov-indefinite", "x0-cov-asymmetric",
-            "horizon-growth", "horizon-memory"])
+            "horizon-growth", "trials-zero", "horizon-memory"])
     def test_check_rejects_scenario(self, tmp_path, overrides, needle):
         cfg = write_config(tmp_path / "c.json", **overrides)
         proc = self._run(["check", "--config", str(cfg)])

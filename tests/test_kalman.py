@@ -121,7 +121,7 @@ class TestOrthogonality:
         wv = z[:, 2:].reshape(trials, burn + 1, 6)
         w, v = wv[..., :2] @ psd_factor(model.Q).T, wv[..., 2:] @ psd_factor(model.R).T
         _, y, xhat = _kernels.sim_alg1(
-            model.A, model.C, designs.kalman.Acl, designs.kalman.K, b.S, b.beta, b.F,
+            model.A, model.C, designs.kalman.Acl, designs.kalman.K, b.S, b.beta,
             designs.consensus.Gamma, designs.graph.adjacency, np.zeros((1, 1, 1, 4), dtype=bool),
             w, np.zeros((trials, 4)), v, z[:, :2], False,
         )[:3]

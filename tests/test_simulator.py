@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -13,12 +14,13 @@ from distkf.errors import ConfigError
 from conftest import (
     edges,
     heat_grid,
-    kernel_args,
     kernel_batch,
     kernel_run,
     loop_args,
     matrix_with_spectrum,
+    run_kernel,
     trial_config,
+    trial_draws,
 )
 from loop_kernels import sim_alg1_loops, sim_alg2_loops
 
@@ -121,6 +123,31 @@ class TestRunTrial:
         for name, want in zip(("x", "y", "xhat", "xbreve"), kernel_run(sc.model, designs, cfg)):
             assert_allclose(getattr(tr, name), want, rtol=1e-12,
                             atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("drop", [0.0, 0.3], ids=["static", "bernoulli"])
+    def test_streams_are_the_spawned_children(self, example1, monkeypatch, drop):
+        # run_trial builds the children of SeedSequence(s) directly, and the
+        # link stream only for a strategy that draws from it; their first
+        # draws are those of SeedSequence(s).spawn(2)
+        sc, designs = example1
+        strategy = distkf.bernoulli_drop_strategy(drop) if drop else distkf.static_strategy()
+        built, child_rng = [], simulator._rng
+
+        def kept(seed, child):
+            rng = child_rng(seed, child)
+            built.append((child, rng.bit_generator.state))
+            return rng
+        monkeypatch.setattr(simulator, "_rng", kept)
+        distkf.run_trial(sc.model, designs, trial_config(sc, horizon=5, seed=(17, 4),
+                                                         variant="alg1", strategy=strategy))
+        children = np.random.SeedSequence((17, 4)).spawn(2)
+        assert [child for child, _ in built] == ([0, 1] if drop else [0])
+        for child, state in built:
+            got = np.random.Philox()
+            got.state = state
+            want = np.random.Philox(children[child])
+            assert np.array_equal(np.random.Generator(got).standard_normal(8),
+                                  np.random.Generator(want).standard_normal(8))
 
     def test_alg2_requires_reduced(self, example1):
         sc, designs = example1
@@ -240,6 +267,38 @@ def _block_S_design(eigs):
     return model, distkf.design_pipeline(model, graph, variant="alg2")
 
 
+# plants whose S splits otherwise than example1's, each watched by 4
+# sensors on a complete graph: the filtered stable block of S holds a
+# complex pair (a 2x2 entry), a stable plant (nu = 0, Gamma = 0, every
+# coordinate filtered), and an unstable one (nothing filtered)
+_SPLIT_PLANTS = {
+    "stable-pair": ([1.2, 0.5, -0.3, 0.2, 0.6], [0.3 + 0.4j, 0.3 - 0.4j, 0.2, -0.1]),
+    "stable": ([0.5, -0.3, 0.2, 0.6], None),
+    "unstable": ([1.2, -1.1, 1.05 * np.exp(0.5j), 1.05 * np.exp(-0.5j)], None),
+}
+
+
+def _split_design(plant):
+    """The plant ``_SPLIT_PLANTS[plant]`` and its variant-1 design, with
+    the split the kernel takes for it asserted."""
+    eigs, poles = _SPLIT_PLANTS[plant]
+    n = len(eigs)
+    rng = np.random.default_rng(1)
+    A = matrix_with_spectrum(rng, np.asarray(eigs, dtype=complex))
+    model = distkf.build_system(A, rng.standard_normal((4, n)), 0.5 * np.eye(n), np.eye(4))
+    graph = distkf.build_graph(np.ones((4, 4)) - np.eye(4))
+    designs = distkf.design_pipeline(model, graph, stable_poles=poles, variant="alg1")
+    S, Gamma = designs.bundle.S, designs.consensus.Gamma
+    p = _kernels._coupled_block(S, Gamma)
+    assert p == {"stable-pair": 1, "stable": 0, "unstable": n}[plant]
+    assert n - p == 0 or n - p >= _kernels._MIN_FILTERED
+    if plant == "stable-pair":
+        assert np.count_nonzero(S[p:, p:] - np.diag(np.diag(S[p:, p:]))) == 2
+    if plant == "stable":
+        assert not np.any(Gamma)
+    return model, designs
+
+
 class TestKernelAgainstLoopReference:
     @pytest.mark.parametrize("case", list(_LOOP_CASES), ids=list(_LOOP_CASES))
     def test_kernel_matches_loop_reference(self, example1, case):
@@ -247,8 +306,9 @@ class TestKernelAgainstLoopReference:
         cfg = trial_config(sc, horizon=25, seed=8, **_LOOP_CASES[case])
         loops = sim_alg1_loops if cfg.variant == "alg1" else sim_alg2_loops
         got = kernel_run(sc.model, designs, cfg)
-        want = loops(*loop_args(kernel_args(sc.model, designs, cfg)), cfg.replace_own,
-                     cfg.rounds_per_sample)
+        want = loops(*loop_args(sc.model, designs, cfg.variant,
+                                trial_draws(sc.model, designs, cfg)),
+                     cfg.replace_own, cfg.rounds_per_sample)
         for a, b in zip(got, want):
             # entries near zero carry the roundoff of the array's scale
             assert_allclose(a, b, rtol=1e-10, atol=1e-10 * np.max(np.abs(b)))
@@ -279,8 +339,8 @@ class TestKernelAgainstLoopReference:
                                    replace_own=replace_own, rounds_per_sample=2,
                                    initial_state_cov=np.eye(3)) for t in range(3)]
         loops = sim_alg1_loops if variant == "alg1" else sim_alg2_loops
-        wants = [loops(*loop_args(kernel_args(model, designs, cfg)), replace_own, 2)
-                 for cfg in cfgs]
+        wants = [loops(*loop_args(model, designs, variant, trial_draws(model, designs, cfg)),
+                       replace_own, 2) for cfg in cfgs]
         batched = kernel_batch(model, designs, cfgs)
         for t, (cfg, want) in enumerate(zip(cfgs, wants)):
             for one, many, ref in zip(kernel_run(model, designs, cfg), batched, want):
@@ -288,31 +348,69 @@ class TestKernelAgainstLoopReference:
                 assert_allclose(one, ref, **tol)
                 assert_allclose(many[t], ref, **tol)
 
+    @pytest.mark.parametrize("replace_own", [False, True], ids=["", "replace_own"])
+    @pytest.mark.parametrize("horizon", [1, _kernels._BLOCK - 1, _kernels._BLOCK,
+                                         _kernels._BLOCK + 1])
+    @pytest.mark.parametrize("plant", list(_SPLIT_PLANTS))
+    def test_kernel_matches_loop_reference_on_split_S(self, plant, horizon, replace_own):
+        # single traces run in blocks of _BLOCK steps: horizons around it end
+        # in a full block, a partial one, or one block and one step
+        model, designs = _split_design(plant)
+        cfgs = [distkf.TrialConfig(horizon=horizon, seed=(7, t), variant="alg1",
+                                   replace_own=replace_own, rounds_per_sample=2,
+                                   initial_state_cov=np.eye(model.n)) for t in range(3)]
+        wants = [sim_alg1_loops(*loop_args(model, designs, "alg1",
+                                           trial_draws(model, designs, cfg)),
+                                replace_own, 2) for cfg in cfgs]
+        batched = kernel_batch(model, designs, cfgs)
+        for t, (cfg, want) in enumerate(zip(cfgs, wants)):
+            # x, y, xhat, xbreve, xi and the final consensus state
+            for one, many, ref in zip(kernel_run(model, designs, cfg), batched, want):
+                tol = dict(rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+                assert_allclose(one, ref, **tol)
+                assert_allclose(many[t], ref, **tol)
+
+    @pytest.mark.parametrize("plant", list(_SPLIT_PLANTS))
+    def test_block_sums_match_loop_reference_on_split_S(self, plant):
+        # Monte-Carlo blocks of 3 steps over 17 steps, the last one partial
+        model, designs = _split_design(plant)
+        draws = [trial_draws(model, designs, distkf.TrialConfig(
+            horizon=17, seed=(8, t), variant="alg1", strategy=distkf.bernoulli_drop_strategy(0.3),
+            initial_state_cov=np.eye(model.n))) for t in range(4)]
+        wants = [sim_alg1_loops(*loop_args(model, designs, "alg1", d), False, 1) for d in draws]
+        out = run_kernel(model, designs, "alg1", draws, chunk=3)
+        err = sum((want[3] - want[0][:, None]) ** 2 for want in wants)
+        dev = sum((want[3] - want[2][:, None]) ** 2 for want in wants)
+        for got, ref in ((out[6], err), (out[7], dev)):
+            assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.max(ref))
+        for t, want in enumerate(wants):
+            assert_allclose(out[5][t], want[5], rtol=1e-10, atol=1e-10 * np.max(np.abs(want[5])))
+
     def test_fixed_links_that_differ_per_trial(self, example1):
         # one-step flags that differ between the trials of a batch take the
         # per-edge path instead of the Laplacian shared by the batch
         sc, designs = example1
-        args = [list(kernel_args(sc.model, designs, trial_config(
+        draws = [list(trial_draws(sc.model, designs, trial_config(
             sc, horizon=25, seed=(9, t), variant="alg1", rounds_per_sample=2)))
             for t in range(2)]
-        args[1][9] = args[1][9].copy()
-        args[1][9][0, 1, 2] = False  # trial 1 never uses edge 2 in round 2
-        batched = _kernels.sim_alg1(*args[0][:9],
-                                    *(np.stack(z) for z in zip(*(a[9:] for a in args))), False)
-        for t, a in enumerate(args):
-            for many, ref in zip(batched, sim_alg1_loops(*loop_args(tuple(a)), False, 2)):
+        draws[1][0] = draws[1][0].copy()
+        draws[1][0][0, 1, 2] = False  # trial 1 never uses edge 2 in round 2
+        batched = run_kernel(sc.model, designs, "alg1", draws)
+        for t, one in enumerate(draws):
+            want = sim_alg1_loops(*loop_args(sc.model, designs, "alg1", one), False, 2)
+            for many, ref in zip(batched, want):
                 assert_allclose(many[t], ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
 
     def test_isolated_alg2_matches_alg1_fusion(self, example1):
         # with every link cut both variants reproduce the same fused output
         # (same transfer function from z to the estimate)
         sc, designs = example1
-        args = list(kernel_args(sc.model, designs, trial_config(sc, horizon=40, seed=23,
-                                                                variant="alg2")))
-        args[9] = np.zeros_like(args[9])  # every link flag down
-        xbreve2 = sim_alg2_loops(*loop_args(tuple(args)), False, 1)[3]
-        args[6] = designs.bundle.F
-        _, _, _, xbreve1, xi, eta = sim_alg1_loops(*loop_args(tuple(args)), False, 1)
+        draws = list(trial_draws(sc.model, designs, trial_config(sc, horizon=40, seed=23,
+                                                                 variant="alg2")))
+        draws[0] = np.zeros_like(draws[0])  # every link flag down
+        xbreve2 = sim_alg2_loops(*loop_args(sc.model, designs, "alg2", draws), False, 1)[3]
+        _, _, _, xbreve1, xi, eta = sim_alg1_loops(*loop_args(sc.model, designs, "alg1", draws),
+                                                   False, 1)
         # alg1: node i's own block is its local filter, the others stay 0
         own = np.eye(4, dtype=bool)
         assert_allclose(eta[own], xi, atol=1e-10)
@@ -394,11 +492,12 @@ class TestBatchedTrials:
         cfg = trial_config(sc, horizon=20, seed=6, **_LOOP_CASES[case])
         T = 20
         fixed, step = _trial_bytes(cfg, designs.graph, n=2)
-        # a chunk holds the steps that fit in 1/64 of the budget: take the
-        # shortest chunk that a budget of 3 trials with that chunk gives back
-        for chunk in range(1, T + 2):
+        # a block holds at most _BLOCK steps and those that fit in 1/16 of
+        # the budget: take the shortest block that a budget of 3 trials with
+        # that block gives back
+        for chunk in range(1, T + 1):
             budget = 3 * (fixed + chunk * step)
-            if min(T + 1, max(1, budget // (64 * step))) == chunk:
+            if min(T, _kernels._BLOCK, budget // (16 * step)) == chunk:
                 break
         monkeypatch.setattr(simulator, "_BATCH_BYTES", budget)
         calls = []
@@ -419,8 +518,8 @@ class TestBatchedTrials:
     @pytest.mark.parametrize("horizon", [0, 1, 20])
     @pytest.mark.parametrize("case", list(_LOOP_CASES), ids=list(_LOOP_CASES))
     def test_chunked_sums_match_trial_mean(self, example1, monkeypatch, case, horizon):
-        # budgets that give chunks of 2 and 3 steps and of the whole
-        # horizon, each run as three batches, the last of one trial
+        # budgets that give blocks of 2, 3 and _BLOCK steps (at most the
+        # horizon), each run as three batches, the last of one trial
         sc, designs = example1
         cfg = trial_config(sc, horizon=horizon, seed=12, **_LOOP_CASES[case])
         step = _trial_bytes(cfg, designs.graph, n=2)[1]
@@ -436,10 +535,10 @@ class TestBatchedTrials:
         for name in ("sim_alg1", "sim_alg2"):
             monkeypatch.setattr(_kernels, name, counted(getattr(_kernels, name)))
         traces = []
-        for chunk in (2, 3, horizon + 1):
-            monkeypatch.setattr(simulator, "_BATCH_BYTES", 64 * step * chunk)
+        for chunk in (2, 3, _kernels._BLOCK):
+            monkeypatch.setattr(simulator, "_BATCH_BYTES", 16 * step * chunk)
             size, got = simulator._batch_plan(sc.model, designs.graph, cfg, cfg.variant)
-            assert got == min(chunk, horizon + 1)
+            assert got == max(1, min(chunk, horizon))
             trials = 2 * size + 1
             calls.clear()
             res = distkf.run_monte_carlo(sc.model, designs, cfg, trials)
@@ -456,7 +555,7 @@ class TestBatchedTrials:
     def test_batch_plan_sizes(self, example1, example2_design):
         # static links count no flag bytes; example1 under drops stores one
         # byte per step, round and edge (1.2 KB a trial for 4 edges)
-        for (sc, designs), size, chunk in ((example1, 74, 101), (example2_design, 6, 4)):
+        for (sc, designs), size, chunk in ((example1, 102, 16), (example2_design, 4, 10)):
             cfg = sc.trial_config()
             variant = distkf.resolve_variant(cfg.variant, sc.model.n, sc.model.m)
             assert simulator._batch_plan(sc.model, designs.graph, cfg, variant) == (size, chunk)
@@ -464,18 +563,43 @@ class TestBatchedTrials:
         cfg = trial_config(sc, variant="alg1", rounds_per_sample=3,
                            strategy=distkf.bernoulli_drop_strategy(0.2))
         size, chunk = simulator._batch_plan(sc.model, designs.graph, cfg, "alg1")
-        assert size >= 60 and chunk == 101
+        assert size >= 60 and chunk == 16
+
+
+class TestBatchMemory:
+    @pytest.mark.parametrize("example, overrides", [
+        ("example2", {}),
+        ("example1", {}),
+        ("example1", dict(variant="alg1", rounds_per_sample=3,
+                          strategy=distkf.bernoulli_drop_strategy(0.2))),
+    ], ids=["example2", "example1", "example1-drop"])
+    def test_batch_peak_within_twice_the_budget(self, example1, example2_design, example,
+                                                overrides):
+        # the batch plan counts every buffer the kernel holds per trial, so
+        # a batch of its size stays within twice the budget (the rest is
+        # the batch's sums and the trial-free tables)
+        sc, designs = example2_design if example == "example2" else example1
+        cfg = trial_config(sc, **overrides)
+        variant = distkf.resolve_variant(cfg.variant, sc.model.n, sc.model.m)
+        size = simulator._batch_plan(sc.model, designs.graph, cfg, variant)[0]
+        tracemalloc.start()
+        try:
+            distkf.run_trial(sc.model, designs, cfg, seeds=[(3, t) for t in range(size)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * simulator._BATCH_BYTES
 
 
 def _trial_bytes(cfg, graph, n):
-    """A trial's fixed working set and the bytes of one buffered step, as
+    """A trial's fixed working set and the bytes of one block step, as
     ``simulator._BATCH_BYTES`` counts them: one byte per link flag."""
     T, m = cfg.horizon, graph.m
     r = m if cfg.variant == "alg1" else n
-    fixed = 8 * (2 * m * (r + 1) * n + T * n + (T + 1) * 2 * (n + m))
+    fixed = 8 * (T * n + (T + 1) * 2 * (n + m) + n * m + 3 * n * r * m)
     if not isinstance(cfg.strategy, distkf.StaticStrategy):
         fixed += T * cfg.rounds_per_sample * edges(graph.adjacency)[0].size
-    return fixed, 16 * m * n
+    return fixed, 8 * m * (n + 2 * r + 2 + max(n, 2 * r))
 
 
 class TestMonteCarlo:
